@@ -240,7 +240,8 @@ func (d *DiskStore) release() { d.fmu.RUnlock() }
 // indexStoreFile parses the header exactly as Load does, but tracks byte
 // positions so the vector payloads can be skipped and indexed. For
 // version-1 files the skeleton section is additionally decoded in
-// passing to synthesize the transposed hub-plan index.
+// passing to synthesize the transposed hub-plan index. Like Load, it
+// rejects a file whose sections do not match the rebuilt hierarchy.
 func indexStoreFile(f *os.File) (*DiskStore, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
 	version, params, opts, g, err := readStoreHeader(cr)
@@ -297,6 +298,9 @@ func indexStoreFile(f *os.File) (*DiskStore, error) {
 			}
 		}
 		ds.idx[sec] = idx
+	}
+	if err := checkSections(h, ds.idx[secHubPartial], ds.idx[secSkeleton], ds.idx[secLeafPPV]); err != nil {
+		return nil, err
 	}
 	if planb != nil {
 		ds.planMem = planb.finish()

@@ -410,14 +410,8 @@ func Load(r io.Reader) (*Store, error) {
 			}
 		}
 	}
-	// Consistency: every hub in the hierarchy must have its vectors.
-	for _, hub := range hubsOf(h) {
-		if _, ok := s.HubPartial[hub]; !ok {
-			return nil, fmt.Errorf("core: store missing partial for hub %d (seed/version drift?)", hub)
-		}
-		if _, ok := s.Skeleton[hub]; !ok {
-			return nil, fmt.Errorf("core: store missing skeleton for hub %d", hub)
-		}
+	if err := checkSections(h, s.HubPartial, s.Skeleton, s.LeafPPV); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -436,10 +430,41 @@ func LoadFile(path string) (*Store, error) {
 	return s, nil
 }
 
-func hubsOf(h *hierarchy.Hierarchy) []int32 {
-	var out []int32
-	for _, n := range h.Nodes() {
-		out = append(out, n.Hubs...)
+// checkSections verifies a file's vector sections against the hierarchy
+// rebuilt from its header. Files store only the graph and the build
+// options, so a partitioner that no longer reproduces the writer's tree
+// (or a tampered seed) would otherwise serve hub vectors under the
+// wrong hierarchy and fold missing leaf vectors as zero. The partial
+// and skeleton keys must be exactly the rebuilt hub set and the leaf
+// keys exactly the remaining nodes; map keys are distinct, so a count
+// check plus a per-key check proves set equality.
+func checkSections[V any](h *hierarchy.Hierarchy, partial, skeleton, leaf map[int32]V) error {
+	n := h.G.NumNodes()
+	hubs := h.TotalHubs()
+	match := func(keys map[int32]V, want int, isHub bool) bool {
+		if len(keys) != want {
+			return false
+		}
+		for key := range keys {
+			if key < 0 || int(key) >= n || h.IsHub(key) != isHub {
+				return false
+			}
+		}
+		return true
 	}
-	return out
+	for _, sec := range []struct {
+		name  string
+		keys  map[int32]V
+		want  int
+		isHub bool
+	}{
+		{"hub partial", partial, hubs, true},
+		{"skeleton", skeleton, hubs, true},
+		{"leaf", leaf, n - hubs, false},
+	} {
+		if !match(sec.keys, sec.want, sec.isHub) {
+			return fmt.Errorf("core: store's %s vectors do not match the hierarchy rebuilt from its header (written by a different partitioner or build?): re-run pprprecomp", sec.name)
+		}
+	}
+	return nil
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"exactppr/internal/hierarchy"
@@ -84,5 +87,44 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Truncated after a valid magic.
 	if _, err := Load(bytes.NewReader(storeMagic[:])); err == nil {
 		t.Fatal("truncated header should fail")
+	}
+}
+
+// TestOpenRejectsHierarchyDrift writes a store whose header seed no
+// longer rebuilds the hierarchy its vectors were computed for — what an
+// old file looks like after a partitioner change — and checks that
+// every open path refuses it instead of serving wrong answers.
+func TestOpenRejectsHierarchyDrift(t *testing.T) {
+	g := testGraph(t, 40)
+	s, err := BuildHGPA(g, hierarchy.Options{Seed: 21}, tightParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.H.Opts.Seed = 22
+	dir := t.TempDir()
+	for _, format := range []struct {
+		name string
+		save func(io.Writer, *Store) error
+	}{{"v2", Save}, {"v1", saveV1}} {
+		var buf bytes.Buffer
+		if err := format.save(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
+			t.Fatalf("%s: Load accepted a drifted store (err %v)", format.name, err)
+		}
+		path := filepath.Join(dir, format.name+".store")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
+			ds, err := OpenDiskStoreWith(path, opts)
+			if err == nil {
+				ds.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
+				t.Fatalf("%s %+v: OpenDiskStoreWith accepted a drifted store (err %v)", format.name, opts, err)
+			}
+		}
 	}
 }

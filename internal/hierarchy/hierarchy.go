@@ -128,11 +128,15 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 		h.home[m] = n
 	}
 
-	if !h.shouldSplit(n) {
+	if !h.maySplit(n) {
 		return n, nil
 	}
-
+	// The paper's stopping rule: a subgraph without internal edges stays
+	// a leaf.
 	induced := graph.InducedSubgraph(h.G, members)
+	if induced.G.NumEdges() == 0 {
+		return n, nil
+	}
 	parts, err := partition.Partition(induced.G, h.Opts.Fanout, partition.Options{
 		Imbalance: h.Opts.Imbalance,
 		Seed:      seed,
@@ -169,17 +173,12 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 	return n, nil
 }
 
-// shouldSplit applies the stopping rules: level cap, size floor, and the
-// paper's "no internal edges" criterion.
-func (h *Hierarchy) shouldSplit(n *Node) bool {
+// maySplit applies the cheap stopping rules: level cap and size floor.
+func (h *Hierarchy) maySplit(n *Node) bool {
 	if h.Opts.MaxLevels > 0 && n.Level >= h.Opts.MaxLevels {
 		return false
 	}
-	if len(n.Members) <= h.Opts.MinSize {
-		return false
-	}
-	induced := graph.InducedSubgraph(h.G, n.Members)
-	return induced.G.NumEdges() > 0
+	return len(n.Members) > h.Opts.MinSize
 }
 
 // Nodes returns every tree node in pre-order.

@@ -197,15 +197,25 @@ func initialBisection(g *ugraph, targetW int64, maxW int64, rng *rand.Rand) []in
 	return best
 }
 
-// fmRefine runs boundary Fiduccia–Mattheyses passes: repeatedly move the
-// highest-gain vertex whose move keeps both sides within [minW, maxW],
-// allowing negative-gain moves within a pass and rolling back to the best
-// prefix (hill climbing out of local minima).
+// fmRefine runs Fiduccia–Mattheyses passes over every vertex (not just
+// the cut boundary): repeatedly move the highest-gain vertex whose move
+// keeps both sides within [minW, maxW] (ties to the smaller id),
+// allowing negative-gain moves within a pass and rolling back to the
+// best prefix (hill climbing out of local minima). A pass stops after
+// about 2n/3 moves.
+//
+// Candidates come from one gain-ordered heap per side, so a move costs
+// O(log n) plus its degree rather than a scan of all n vertices. The
+// heaps pick exactly the vertex the scan would, which matters beyond
+// speed: store files rebuild the hierarchy at load and rely on it
+// being identical (see fmRefineScan in the tests).
 func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 	n := g.numNodes()
 	w := [2]int64{}
+	lightest := int64(1) << 62
 	for v := 0; v < n; v++ {
 		w[side[v]] += int64(g.vwgt[v])
+		lightest = min(lightest, int64(g.vwgt[v]))
 	}
 	gain := make([]int64, n)
 	computeGain := func(v int32) int64 {
@@ -220,47 +230,41 @@ func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 		}
 		return ext - int_
 	}
+	q := newGainQueues(gain)
+	// bestFrom returns the best vertex that can leave side s, or -1.
+	bestFrom := func(s int8) int32 {
+		limit := min(maxW-w[1-s], w[s]-minW)
+		if limit < lightest {
+			return -1 // no vertex is light enough: skip the heap search
+		}
+		return q.best(s, limit, g.vwgt)
+	}
+	moves := make([]int32, 0, n)
 	for pass := 0; pass < refinePasses; pass++ {
 		for v := int32(0); v < int32(n); v++ {
 			gain[v] = computeGain(v)
 		}
-		locked := make([]bool, n)
-		type move struct {
-			v    int32
-			gain int64
-		}
-		var moves []move
+		q.fill(side)
+		moves = moves[:0]
 		var cum, bestCum int64
 		bestIdx := -1
-		// Bounded number of moves per pass keeps worst case near-linear.
 		for step := 0; step < n; step++ {
-			bestV := int32(-1)
-			var bestG int64 = -(1 << 62)
-			for v := int32(0); v < int32(n); v++ {
-				if locked[v] || gain[v] <= -(1<<40) {
-					continue
-				}
-				from := side[v]
-				to := 1 - from
-				if w[to]+int64(g.vwgt[v]) > maxW || w[from]-int64(g.vwgt[v]) < minW {
-					continue
-				}
-				if gain[v] > bestG || (gain[v] == bestG && v < bestV) {
-					bestV, bestG = v, gain[v]
-				}
+			bestV := bestFrom(0)
+			if c := bestFrom(1); c >= 0 && (bestV < 0 || q.before(c, bestV)) {
+				bestV = c
 			}
 			if bestV < 0 {
 				break
 			}
 			// Apply the move.
 			from := side[bestV]
-			to := int8(1 - from)
+			to := 1 - from
+			q.remove(from, bestV)
 			side[bestV] = to
 			w[from] -= int64(g.vwgt[bestV])
 			w[to] += int64(g.vwgt[bestV])
-			locked[bestV] = true
-			cum += bestG
-			moves = append(moves, move{bestV, bestG})
+			cum += gain[bestV]
+			moves = append(moves, bestV)
 			if cum > bestCum {
 				bestCum = cum
 				bestIdx = len(moves) - 1
@@ -268,7 +272,7 @@ func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 			// Update neighbor gains.
 			nbrs, wts := g.neighbors(bestV)
 			for i, nb := range nbrs {
-				if locked[nb] {
+				if q.locked(nb) {
 					continue
 				}
 				if side[nb] == to {
@@ -276,6 +280,7 @@ func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 				} else {
 					gain[nb] += 2 * int64(wts[i])
 				}
+				q.fix(side[nb], nb)
 			}
 			if len(moves) > 2*n/3+16 {
 				break
@@ -283,9 +288,9 @@ func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 		}
 		// Roll back moves after the best prefix.
 		for i := len(moves) - 1; i > bestIdx; i-- {
-			v := moves[i].v
+			v := moves[i]
 			from := side[v]
-			to := int8(1 - from)
+			to := 1 - from
 			side[v] = to
 			w[from] -= int64(g.vwgt[v])
 			w[to] += int64(g.vwgt[v])

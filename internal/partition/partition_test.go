@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"exactppr/internal/gen"
@@ -26,6 +27,37 @@ func TestUndirectedView(t *testing.T) {
 	}
 	if ug.totalWeight() != 3 {
 		t.Fatalf("totalWeight = %d", ug.totalWeight())
+	}
+}
+
+// TestSortAdj checks that rows of every length, on both sides of the
+// insertion-sort cutoff, come out sorted by id with weights aligned.
+func TestSortAdj(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	u := &ugraph{xadj: []int32{0}}
+	type pair struct{ id, wt int32 }
+	var want [][]pair
+	for v := 0; v < 40; v++ {
+		perm := rng.Perm(100)[:rng.Intn(60)]
+		row := make([]pair, len(perm))
+		for i, id := range perm {
+			row[i] = pair{int32(id), rng.Int31()}
+			u.adjncy = append(u.adjncy, row[i].id)
+			u.adjwgt = append(u.adjwgt, row[i].wt)
+		}
+		u.xadj = append(u.xadj, int32(len(u.adjncy)))
+		u.vwgt = append(u.vwgt, 1)
+		sort.Slice(row, func(a, b int) bool { return row[a].id < row[b].id })
+		want = append(want, row)
+	}
+	u.sortAdj()
+	for v, row := range want {
+		nbrs, wts := u.neighbors(int32(v))
+		for i, p := range row {
+			if nbrs[i] != p.id || wts[i] != p.wt {
+				t.Fatalf("row %d (len %d) entry %d = (%d,%d), want (%d,%d)", v, len(row), i, nbrs[i], wts[i], p.id, p.wt)
+			}
+		}
 	}
 }
 

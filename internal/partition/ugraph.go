@@ -1,13 +1,13 @@
 // Package partition implements a METIS-style multilevel graph partitioner
 // (heavy-edge-matching coarsening, greedy region-growing initial bisection,
-// Fiduccia–Mattheyses boundary refinement) plus the paper's hub-node
-// selection: the bridging nodes between parts are chosen as a vertex cover
-// of the cut edges — minimum via König's theorem for 2-way cuts, greedy
-// 2-approximation otherwise (Appendix D).
+// Fiduccia–Mattheyses refinement over gain-ordered heaps) plus the paper's
+// hub-node selection: the bridging nodes between parts are chosen as a
+// vertex cover of the cut edges — minimum via König's theorem for 2-way
+// cuts, greedy 2-approximation otherwise (Appendix D).
 package partition
 
 import (
-	"sort"
+	"slices"
 
 	"exactppr/internal/graph"
 )
@@ -82,23 +82,35 @@ func undirectedView(g *graph.Graph) *ugraph {
 }
 
 // sortAdj sorts each adjacency list by id, keeping weights aligned. Sorted
-// lists make coarse-graph construction and tests deterministic.
+// lists make coarse-graph construction and tests deterministic. Rows are
+// sorted in place: short ones by insertion sort, long ones as packed
+// (id, weight) keys through one reused buffer.
 func (u *ugraph) sortAdj() {
+	const shortRow = 16
+	var keys []uint64
 	for v := 0; v < u.numNodes(); v++ {
-		lo, hi := u.xadj[v], u.xadj[v+1]
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = int(lo) + i
+		ids := u.adjncy[u.xadj[v]:u.xadj[v+1]]
+		wts := u.adjwgt[u.xadj[v]:u.xadj[v+1]]
+		if len(ids) <= shortRow {
+			for i := 1; i < len(ids); i++ {
+				id, wt := ids[i], wts[i]
+				j := i
+				for ; j > 0 && ids[j-1] > id; j-- {
+					ids[j], wts[j] = ids[j-1], wts[j-1]
+				}
+				ids[j], wts[j] = id, wt
+			}
+			continue
 		}
-		sort.Slice(idx, func(a, b int) bool { return u.adjncy[idx[a]] < u.adjncy[idx[b]] })
-		nc := make([]int32, hi-lo)
-		nw := make([]int32, hi-lo)
-		for i, j := range idx {
-			nc[i] = u.adjncy[j]
-			nw[i] = u.adjwgt[j]
+		// Ids are non-negative, so the packed keys order by id first.
+		keys = keys[:0]
+		for i, id := range ids {
+			keys = append(keys, uint64(id)<<32|uint64(uint32(wts[i])))
 		}
-		copy(u.adjncy[lo:hi], nc)
-		copy(u.adjwgt[lo:hi], nw)
+		slices.Sort(keys)
+		for i, k := range keys {
+			ids[i], wts[i] = int32(k>>32), int32(uint32(k))
+		}
 	}
 }
 
