@@ -136,9 +136,11 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("topk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.store.QueryTopK(qs[i%len(qs)], 10); err != nil {
+			p, err := f.store.QueryPacked(qs[i%len(qs)])
+			if err != nil {
 				b.Fatal(err)
 			}
+			p.TopK(10)
 		}
 	})
 }

@@ -80,7 +80,7 @@ type (
 	LiveStore = core.LiveStore
 	// UpdateInfo reports the cost of one incremental update batch.
 	UpdateInfo = core.UpdateInfo
-	// Shard is one machine's slice of a Store.
+	// Shard is one machine's slice of a Store or a DiskStore.
 	Shard = core.Shard
 	// Coordinator fans queries out to machines and sums the shares.
 	Coordinator = cluster.Coordinator
@@ -228,7 +228,8 @@ type DiskOptions = core.DiskOptions
 // hits/misses, coalesced reads, mmap vs fallback).
 type DiskStats = core.DiskStats
 
-// DiskShard is one machine's slice of a DiskStore.
+// DiskShard is one machine's slice of a DiskStore: the same type as
+// Shard.
 type DiskShard = core.DiskShard
 
 // DiskCluster is a coordinator over in-process disk shards; its

@@ -67,40 +67,37 @@ type UpdateStats struct {
 	Wall time.Duration
 }
 
-// ShardMachine is an in-process Machine over a core.Shard.
+// ShardMachine is an in-process Machine over a core.Shard of either
+// backend (an in-memory Store or a DiskStore).
 type ShardMachine struct {
 	Shard *core.Shard
 }
 
-// QueryShare implements Machine. The share is encoded even in-process so
-// byte accounting matches what a network transport would carry. The
-// shard's fold drains in packed (sorted) form, so encoding is a straight
-// sequential copy — no map iteration on the worker's hot path.
+// QueryShare implements Machine.
 func (m *ShardMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.Shard.QueryPacked(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload := sparse.EncodePacked(v)
-	return payload, time.Since(start), nil
+	return share(ctx, func() (sparse.Packed, error) { return m.Shard.QueryPacked(u) })
 }
 
 // QuerySetShare implements Machine for preference sets.
 func (m *ShardMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
+	return share(ctx, func() (sparse.Packed, error) { return m.Shard.QuerySetPacked(p) })
+}
+
+// share runs one in-process share computation and encodes its result.
+// The share is encoded even in-process so byte accounting matches what
+// a network transport would carry; the packed (sorted) drain makes that
+// a straight sequential copy — no map iteration on the worker's hot
+// path.
+func share(ctx context.Context, compute func() (sparse.Packed, error)) ([]byte, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
-	v, err := m.Shard.QuerySetPacked(p)
+	v, err := compute()
 	if err != nil {
 		return nil, 0, err
 	}
-	payload := sparse.EncodePacked(v)
-	return payload, time.Since(start), nil
+	return sparse.EncodePacked(v), time.Since(start), nil
 }
 
 // QueryStats reports one distributed query.

@@ -84,11 +84,11 @@ func TestQueryStatsAccounting(t *testing.T) {
 	shards, _ := core.Split(s, 4)
 	var want int64
 	for _, sh := range shards {
-		v, err := sh.QueryVector(10)
+		v, err := sh.QueryPacked(10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += int64(sparse.EncodedSize(v))
+		want += int64(sparse.EncodedSizePacked(v))
 	}
 	if stats.BytesReceived != want {
 		t.Fatalf("BytesReceived = %d, want %d", stats.BytesReceived, want)

@@ -285,9 +285,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "weights require \"set\":true")
 		return
 	}
-	if req.Weights != nil && len(req.Weights) != len(req.Nodes) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%d nodes but %d weights", len(req.Nodes), len(req.Weights)))
-		return
+	pref := core.Preference{Nodes: req.Nodes, Weights: req.Weights}
+	if req.Set {
+		// A malformed set is the client's error: answer it here rather
+		// than as a worker failure (502) after the fan-out.
+		if err := pref.Validate(); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	k := req.TopK
 	if k < 1 {
@@ -296,7 +301,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.batches.Add(1)
 
 	if req.Set {
-		res, err := g.runSet(r.Context(), core.Preference{Nodes: req.Nodes, Weights: req.Weights}, k)
+		res, err := g.runSet(r.Context(), pref, k)
 		if err != nil {
 			writeJSON(w, queryErrorStatus(err), res)
 			return
@@ -451,7 +456,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			"evictions":       ds.Evictions,
 			"cached":          ds.Cached,
 			"mmap":            ds.Mmap,
-			"format_version":  ds.FormatVersion,
 		}
 	}
 	writeJSON(w, http.StatusOK, stats)

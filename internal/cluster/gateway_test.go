@@ -99,6 +99,18 @@ func TestGatewayBadRequests(t *testing.T) {
 	postJSON(t, srv.URL+"/ppv", map[string]any{
 		"nodes": []int32{1, 2}, "weights": []float64{0.9, 0.1},
 	}, http.StatusBadRequest, &e)
+	// A malformed preference set is refused before the fan-out: 400,
+	// not a 502 worker failure.
+	for _, body := range []map[string]any{
+		{"nodes": []int32{1, 1}, "set": true},
+		{"nodes": []int32{1, 2}, "weights": []float64{1, 0}, "set": true},
+		{"nodes": []int32{1, 2}, "weights": []float64{1e308, 1e308}, "set": true},
+	} {
+		postJSON(t, srv.URL+"/ppv", body, http.StatusBadRequest, &e)
+		if e["error"] == "" {
+			t.Fatalf("%v: missing error text", body)
+		}
+	}
 	// Out-of-range node: the worker's validation error surfaces as 404
 	// (the node does not exist), not a hang and not a 502.
 	var res resultJSON

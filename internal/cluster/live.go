@@ -52,28 +52,12 @@ func (m *LiveShard) refresh(s *core.Store) error {
 
 // QueryShare implements Machine.
 func (m *LiveShard) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.shard.Load().QueryPacked(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return share(ctx, func() (sparse.Packed, error) { return m.shard.Load().QueryPacked(u) })
 }
 
 // QuerySetShare implements Machine.
 func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.shard.Load().QuerySetPacked(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return share(ctx, func() (sparse.Packed, error) { return m.shard.Load().QuerySetPacked(p) })
 }
 
 // ApplyUpdates implements Updater. The batch recompute runs to

@@ -8,48 +8,21 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// PackedQuerier is any in-process query engine that drains its share in
-// packed columnar form: an in-memory core.Shard, a disk-resident
-// core.DiskShard, or a whole core.DiskStore acting as a one-machine
-// cluster. LocalMachine adapts it to the Machine interface so every
-// backend rides the same coordinator, wire protocol, and gateway.
-type PackedQuerier interface {
-	QueryPacked(u int32) (sparse.Packed, error)
-	QuerySetPacked(p core.Preference) (sparse.Packed, error)
-}
-
-// LocalMachine is an in-process Machine over any PackedQuerier. Shares
-// are encoded even in-process so byte accounting matches what a network
-// transport would carry; the packed drain makes that a straight
-// sequential copy.
+// LocalMachine is ShardMachine under another field name: an in-process
+// Machine over a core.Shard, kept for callers that build it as
+// LocalMachine{Backend: shard}.
 type LocalMachine struct {
-	Backend PackedQuerier
+	Backend *core.Shard
 }
 
 // QueryShare implements Machine.
 func (m *LocalMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.Backend.QueryPacked(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return share(ctx, func() (sparse.Packed, error) { return m.Backend.QueryPacked(u) })
 }
 
 // QuerySetShare implements Machine for preference sets.
 func (m *LocalMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.Backend.QuerySetPacked(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return share(ctx, func() (sparse.Packed, error) { return m.Backend.QuerySetPacked(p) })
 }
 
 // DiskCluster is a Coordinator over in-process disk shards: the
@@ -71,7 +44,7 @@ func NewDiskLocalCluster(ds *core.DiskStore, n int) (*DiskCluster, error) {
 	}
 	machines := make([]Machine, n)
 	for i, sh := range shards {
-		machines[i] = &LocalMachine{Backend: sh}
+		machines[i] = &ShardMachine{Shard: sh}
 	}
 	coord, err := NewCoordinator(machines...)
 	if err != nil {

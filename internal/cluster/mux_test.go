@@ -116,13 +116,13 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := shards[0].QueryVector(int32(i))
+		want, err := shards[0].QueryPacked(int32(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Each caller must get the answer to ITS source node — any demux
 		// mix-up swaps whole distinct vectors and trips this immediately.
-		if d := sparse.LInfDistance(got, want); d != 0 {
+		if d := sparse.LInfDistance(got, want.Unpack()); d != 0 {
 			t.Fatalf("query %d demuxed wrong response, L∞ = %v", i, d)
 		}
 	}
@@ -335,11 +335,11 @@ func TestMuxContextTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := shards[0].QueryVector(2)
+	want, err := shards[0].QueryPacked(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := sparse.LInfDistance(got, want); d != 0 {
+	if d := sparse.LInfDistance(got, want.Unpack()); d != 0 {
 		t.Fatalf("post-timeout query demuxed wrong response, L∞ = %v", d)
 	}
 }

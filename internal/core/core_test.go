@@ -143,11 +143,11 @@ func TestShardsSumToQuery(t *testing.T) {
 			}
 			sum := sparse.New(64)
 			for _, sh := range shards {
-				v, err := sh.QueryVector(u)
+				v, err := sh.QueryPacked(u)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum.AddScaled(v, 1)
+				sum.AddScaled(v.Unpack(), 1)
 			}
 			if d := sparse.LInfDistance(sum, want); d > 1e-12 {
 				t.Errorf("n=%d u=%d: shard sum L∞ = %v (must be exact)", n, u, d)
@@ -217,7 +217,7 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatal("out-of-range query should fail")
 	}
 	shards, _ := Split(s, 2)
-	if _, err := shards[0].QueryVector(-5); err == nil {
+	if _, err := shards[0].QueryPacked(-5); err == nil {
 		t.Fatal("shard query out of range should fail")
 	}
 }

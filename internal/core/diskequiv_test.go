@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -12,9 +11,9 @@ import (
 )
 
 // The cross-path equivalence suite: every way of serving a saved store —
-// in-memory (Load of either format version), disk-resident over a
-// memory map, disk-resident over the ReadAt fallback, and the legacy
-// version-1 file through both — must return BIT-IDENTICAL vectors. The
+// in-memory (Load), disk-resident over a memory map, disk-resident over
+// the ReadAt fallback, and disk-resident through a tiny cache — must
+// return BIT-IDENTICAL vectors. The
 // transposed hub-plan index preserves the exact floating-point fold
 // order of the in-memory query, so equality here is ==, not a tolerance.
 
@@ -23,7 +22,7 @@ type diskVariant struct {
 	ds   *DiskStore
 }
 
-func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
+func equivFixture(t *testing.T) (*Store, []diskVariant, *Store) {
 	t.Helper()
 	g := testGraph(t, 77)
 	s, err := BuildHGPA(g, hierarchy.Options{Seed: 78}, tightParams(), 2)
@@ -35,17 +34,6 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	if err := SaveFile(v2, s); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "v1.store")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := saveV1(f, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	var variants []diskVariant
 	for _, spec := range []struct {
@@ -55,8 +43,6 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	}{
 		{"mmap/v2", v2, DiskOptions{}},
 		{"fallback/v2", v2, DiskOptions{DisableMmap: true}},
-		{"mmap/v1", v1, DiskOptions{}},
-		{"fallback/v1", v1, DiskOptions{DisableMmap: true}},
 		{"tiny-cache/v2", v2, DiskOptions{CacheCap: 2}}, // constant eviction
 	} {
 		ds, err := OpenDiskStoreWith(spec.path, spec.opts)
@@ -67,13 +53,9 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 		variants = append(variants, diskVariant{spec.name, ds})
 	}
 
-	var loaded []*Store
-	for _, path := range []string{v2, v1} {
-		ls, err := LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded = append(loaded, ls)
+	loaded, err := LoadFile(v2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s, variants, loaded
 }
@@ -87,18 +69,17 @@ func TestCrossPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop, err := s.QueryTopK(u, 5)
+		wantP, err := s.QueryPacked(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, ls := range loaded {
-			got, err := ls.Query(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("loaded[%d] u=%d: in-memory reload differs", i, u)
-			}
+		wantTop := wantP.TopK(5)
+		got, err := loaded.Query(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("u=%d: in-memory reload differs", u)
 		}
 		for _, v := range variants {
 			got, err := v.ds.Query(u)
@@ -115,11 +96,7 @@ func TestCrossPathEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(gotP.Unpack(), want) {
 				t.Fatalf("%s u=%d: packed disk query differs", v.name, u)
 			}
-			gotTop, err := v.ds.QueryTopK(u, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotTop, wantTop) {
+			if gotTop := gotP.TopK(5); !reflect.DeepEqual(gotTop, wantTop) {
 				t.Fatalf("%s u=%d: top-k differs: %v vs %v", v.name, u, gotTop, wantTop)
 			}
 		}
@@ -157,20 +134,32 @@ func TestCrossPathEquivalenceQuerySet(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: preference-set query differs", v.name)
 		}
-		gotW, err := v.ds.QuerySetPacked(weighted)
+		gotW, err := v.ds.QuerySet(weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotW.Unpack(), wantW) {
+		if !reflect.DeepEqual(gotW, wantW) {
 			t.Fatalf("%s: weighted preference-set query differs", v.name)
+		}
+		// The packed set drain on disk: one shard owns the whole store.
+		whole, err := SplitDisk(v.ds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP, err := whole[0].QuerySetPacked(weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotP.Unpack(), wantW) {
+			t.Fatalf("%s: packed weighted preference-set query differs", v.name)
 		}
 	}
 }
 
-// TestDiskShardsMatchMemoryShards: each disk shard's share is
-// bit-identical to the corresponding in-memory shard's share (the two
-// Split implementations deal hubs and leaves identically), and the
-// shares still sum to the exact PPV.
+// TestDiskShardsMatchMemoryShards: each disk shard's share and work
+// count equal the corresponding in-memory shard's (Split and SplitDisk
+// deal hubs and leaves identically), and the shares still sum to the
+// exact PPV.
 func TestDiskShardsMatchMemoryShards(t *testing.T) {
 	s, variants, _ := equivFixture(t)
 	const n = 3
@@ -196,6 +185,13 @@ func TestDiskShardsMatchMemoryShards(t *testing.T) {
 				}
 				if !reflect.DeepEqual(diskShare.Entries(), memShare.Entries()) {
 					t.Fatalf("%s shard %d u=%d: disk share differs from memory share", v.name, i, u)
+				}
+				memWork, err := memShards[i].QueryWork(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diskWork, err := diskShards[i].QueryWork(u); err != nil || diskWork != memWork {
+					t.Fatalf("%s shard %d u=%d: disk work %d (%v), memory work %d", v.name, i, u, diskWork, err, memWork)
 				}
 				diskParts = append(diskParts, diskShare)
 				memParts = append(memParts, memShare)

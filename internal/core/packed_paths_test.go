@@ -37,8 +37,10 @@ func TestQueryPackedMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestShardPackedMatchesVector: same for the per-machine share folds,
-// single-node and preference-set alike.
+// TestShardPackedMatchesVector: a shard's share is sorted, and the set
+// drain of a one-node preference is that node's share bit for bit (its
+// weight normalizes to exactly 1); a weighted set share is the weighted
+// sum of the members' shares.
 func TestShardPackedMatchesVector(t *testing.T) {
 	g := testGraph(t, 23)
 	s := buildStore(t, g, hierarchy.Options{Seed: 24})
@@ -49,50 +51,62 @@ func TestShardPackedMatchesVector(t *testing.T) {
 	pref := Preference{Nodes: []int32{1, 7, 42}, Weights: []float64{1, 2, 3}}
 	for _, sh := range shards {
 		for _, u := range sampleQueries(s) {
-			v, err := sh.QueryVector(u)
-			if err != nil {
-				t.Fatal(err)
-			}
 			p, err := sh.QueryPacked(u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(p.Unpack(), v) {
-				t.Fatalf("shard %d u=%d: packed share differs", sh.Index, u)
+			es := p.Entries()
+			if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].ID < es[b].ID }) {
+				t.Fatalf("shard %d u=%d: share not sorted", sh.Index, u)
+			}
+			one, err := sh.QuerySetPacked(Preference{Nodes: []int32{u}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one, p) {
+				t.Fatalf("shard %d u=%d: one-node set share differs", sh.Index, u)
 			}
 		}
-		v, err := sh.QuerySetVector(pref)
-		if err != nil {
-			t.Fatal(err)
+		want := sparse.New(0)
+		for i, u := range pref.Nodes {
+			p, err := sh.QueryPacked(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.AddScaled(p.Unpack(), pref.Weights[i]/6)
 		}
 		p, err := sh.QuerySetPacked(pref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(p.Unpack(), v) {
-			t.Fatalf("shard %d: packed set share differs", sh.Index)
+		if d := sparse.LInfDistance(p.Unpack(), want); d > 1e-12 {
+			t.Fatalf("shard %d: set share off the weighted sum by %v", sh.Index, d)
 		}
 	}
 }
 
-// TestQueryTopKMatchesFullSort: the accumulator's bounded-heap top-k
-// agrees with draining everything and sorting.
-func TestQueryTopKMatchesFullSort(t *testing.T) {
+// TestPackedTopKMatchesFullSort: the bounded-heap top-k of a packed
+// answer agrees with sorting every entry.
+func TestPackedTopKMatchesFullSort(t *testing.T) {
 	g := testGraph(t, 25)
 	s := buildStore(t, g, hierarchy.Options{Seed: 26})
 	for _, u := range sampleQueries(s) {
-		full, err := s.Query(u)
+		p, err := s.QueryPacked(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 10, 1 << 20} {
-			got, err := s.QueryTopK(u, k)
-			if err != nil {
-				t.Fatal(err)
+		full := p.Entries()
+		sort.Slice(full, func(a, b int) bool {
+			if full[a].Score != full[b].Score {
+				return full[a].Score > full[b].Score
 			}
-			want := full.TopK(k)
+			return full[a].ID < full[b].ID
+		})
+		for _, k := range []int{1, 10, 1 << 20} {
+			got := p.TopK(k)
+			want := full[:min(k, len(full))]
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("u=%d k=%d: QueryTopK %v, want %v", u, k, got, want)
+				t.Fatalf("u=%d k=%d: TopK %v, want %v", u, k, got, want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,11 +22,9 @@ import (
 // the parent-pointer cycles a naive encoder would choke on), the PPR
 // parameters, and the vector sections.
 //
-// Two versions exist. Version 2 (written by Save) is designed for
-// zero-copy memory-mapped serving; version 1 files remain fully
-// loadable and disk-queryable.
-//
-// Version 2 layout (little-endian throughout):
+// The format (version 2; Save writes it, and it is the only one Load and
+// OpenDiskStore read) is designed for zero-copy memory-mapped serving.
+// Layout, little-endian throughout:
 //
 //	magic "EXPPRST2"
 //	params:    alpha, eps float64; maxIter, dangling int32
@@ -40,17 +39,11 @@ import (
 // alias the id/score arrays in place. The fourth section is the
 // TRANSPOSED skeleton index (see plan.go): per query node, the (hub,
 // s_u(h)) pairs its fold needs, in fold order, so a disk query never
-// reads a skeleton payload.
-//
-// Version 1 ("EXPPRST1") carries the same header and the first three
-// sections with interleaved wire payloads (sparse.Encode) and no
-// alignment; Load and OpenDiskStore accept it, synthesizing the plan
-// section in memory at open.
+// reads a skeleton payload. Files of any other version ("EXPPRST1", the
+// retired interleaved-payload format) are refused with a "re-run
+// pprprecomp" error.
 
-var (
-	storeMagic   = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '1'}
-	storeMagicV2 = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
-)
+var storeMagic = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
 
 // maxVecLen bounds a single payload record (sanity for corrupt files).
 const maxVecLen = 1 << 30
@@ -80,8 +73,7 @@ func checkSavable(s *Store) error {
 	return nil
 }
 
-// writeStoreHeader emits everything up to the vector sections — shared
-// verbatim between both format versions.
+// writeStoreHeader emits everything up to the vector sections.
 func writeStoreHeader(w io.Writer, params ppr.Params, opts hierarchy.Options, g *graph.Graph) {
 	writeU64 := func(x uint64) { binary.Write(w, binary.LittleEndian, x) }
 	writeI32 := func(x int32) { binary.Write(w, binary.LittleEndian, x) }
@@ -116,16 +108,16 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	return keys
 }
 
-// Save writes the store to w in format version 2. Keys are written
-// sorted and plan rows are rank-ordered, so saving the same store twice
-// yields byte-identical files.
+// Save writes the store to w. Keys are written sorted and plan rows are
+// in fold order, so saving the same store twice yields byte-identical
+// files.
 func Save(w io.Writer, s *Store) error {
 	if err := checkSavable(s); err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if _, err := cw.Write(storeMagicV2[:]); err != nil {
+	if _, err := cw.Write(storeMagic[:]); err != nil {
 		return err
 	}
 	writeStoreHeader(cw, s.Params, s.H.Opts, s.H.G)
@@ -153,36 +145,10 @@ func Save(w io.Writer, s *Store) error {
 		}
 	}
 	plans := buildHubPlans(s.H, s.Skeleton)
-	writeI32(int32(len(plans)))
-	for _, key := range sortedKeys(plans) {
-		row := plans[key]
-		if err := writeRecord(key, sparse.EncodeColumnar(row.hubs, row.s)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// saveV1 writes the legacy version-1 format (interleaved wire payloads,
-// no plan section). Kept for the cross-version compatibility tests; new
-// files should always be written by Save.
-func saveV1(w io.Writer, s *Store) error {
-	if err := checkSavable(s); err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(storeMagic[:]); err != nil {
-		return err
-	}
-	writeStoreHeader(bw, s.Params, s.H.Opts, s.H.G)
-	writeI32 := func(x int32) { binary.Write(bw, binary.LittleEndian, x) }
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		writeI32(int32(len(section)))
-		for _, key := range sortedKeys(section) {
-			writeI32(key)
-			enc := sparse.EncodePacked(section[key])
-			writeI32(int32(len(enc)))
-			if _, err := bw.Write(enc); err != nil {
+	writeI32(int32(plans.rows()))
+	for u := range s.H.G.NumNodes() {
+		if row := plans.row(int32(u)); len(row.hubs) > 0 {
+			if err := writeRecord(int32(u), sparse.EncodeColumnar(row.hubs, row.s)); err != nil {
 				return err
 			}
 		}
@@ -204,20 +170,17 @@ func SaveFile(path string, s *Store) error {
 }
 
 // readStoreHeader parses the magic, parameters, hierarchy options, and
-// graph — the shared prefix of both format versions — and reports which
-// version follows.
-func readStoreHeader(cr *countingReader) (version int, params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
+// graph — everything before the vector sections.
+func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
 	var magic [8]byte
 	if _, err = io.ReadFull(cr, magic[:]); err != nil {
-		return 0, params, opts, nil, err
+		return params, opts, nil, err
 	}
-	switch magic {
-	case storeMagic:
-		version = 1
-	case storeMagicV2:
-		version = 2
-	default:
-		return 0, params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
+	if magic != storeMagic {
+		if bytes.HasPrefix(magic[:], storeMagic[:7]) {
+			return params, opts, nil, fmt.Errorf("core: unsupported store format %q (this build reads %q): re-run pprprecomp", magic, storeMagic)
+		}
+		return params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
 	}
 
 	readU64 := func() (x uint64, err error) {
@@ -299,10 +262,9 @@ func readStoreHeader(cr *countingReader) (version int, params ppr.Params, opts h
 	return
 }
 
-// readRecordMeta reads one section record's (key, payload length) and —
-// for version 2 — consumes the alignment padding, leaving the reader at
-// the payload.
-func readRecordMeta(cr *countingReader, version int) (key, vlen int32, err error) {
+// readRecordMeta reads one section record's (key, payload length) and
+// consumes the alignment padding, leaving the reader at the payload.
+func readRecordMeta(cr *countingReader) (key, vlen int32, err error) {
 	if err = binary.Read(cr, binary.LittleEndian, &key); err != nil {
 		return
 	}
@@ -313,37 +275,20 @@ func readRecordMeta(cr *countingReader, version int) (key, vlen int32, err error
 		err = fmt.Errorf("core: corrupt vector length %d", vlen)
 		return
 	}
-	if version == 2 {
-		if pad := (8 - cr.n%8) % 8; pad > 0 {
-			if err = cr.skip(pad); err != nil {
-				return
-			}
-		}
+	if pad := (8 - cr.n%8) % 8; pad > 0 {
+		err = cr.skip(pad)
 	}
 	return
 }
 
-// decodeSectionPayload turns one vector record's bytes into a Packed
-// under the right codec for the file version.
-func decodeSectionPayload(version int, buf []byte) (sparse.Packed, error) {
-	if version == 1 {
-		return sparse.DecodePacked(buf)
-	}
-	ids, scores, err := sparse.DecodeColumnar(buf)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	return sparse.PackedView(ids, scores)
-}
-
-// Load reads a store written by Save (either format version), rebuilding
-// the hierarchy deterministically from the stored options. The version-2
-// plan section is validated and discarded: an in-memory store folds
-// skeletons directly, but a truncated or corrupt trailer must still be
-// reported at load time, not at first serve.
+// Load reads a store written by Save, rebuilding the hierarchy
+// deterministically from the stored options. The plan section is
+// validated and discarded: an in-memory store folds skeletons directly,
+// but a truncated or corrupt trailer must still be reported at load
+// time, not at first serve.
 func Load(r io.Reader) (*Store, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
-	version, params, opts, g, err := readStoreHeader(cr)
+	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -352,8 +297,8 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{H: h, Params: params}
-	sections := []*map[int32]sparse.Packed{&s.HubPartial, &s.Skeleton, &s.LeafPPV}
-	for _, section := range sections {
+	sections := []*map[int32]sparse.Packed{&s.HubPartial, &s.Skeleton, &s.LeafPPV, nil}
+	for sec, section := range sections {
 		var count int32
 		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
 			return nil, err
@@ -361,9 +306,13 @@ func Load(r io.Reader) (*Store, error) {
 		if count < 0 {
 			return nil, fmt.Errorf("core: corrupt section count %d", count)
 		}
-		mp := make(map[int32]sparse.Packed, count)
+		var mp map[int32]sparse.Packed
+		if section != nil {
+			mp = make(map[int32]sparse.Packed, count)
+			*section = mp
+		}
 		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr, version)
+			key, vlen, err := readRecordMeta(cr)
 			if err != nil {
 				return nil, err
 			}
@@ -371,7 +320,19 @@ func Load(r io.Reader) (*Store, error) {
 			if _, err := io.ReadFull(cr, buf); err != nil {
 				return nil, err
 			}
-			vec, err := decodeSectionPayload(version, buf)
+			ids, scores, err := sparse.DecodeColumnar(buf)
+			if err != nil {
+				return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
+			}
+			if section == nil { // hub plans
+				for _, hub := range ids {
+					if hub < 0 || int(hub) >= g.NumNodes() {
+						return nil, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
+					}
+				}
+				continue
+			}
+			vec, err := sparse.PackedView(ids, scores)
 			if err != nil {
 				return nil, err
 			}
@@ -379,35 +340,6 @@ func Load(r io.Reader) (*Store, error) {
 				return nil, fmt.Errorf("core: vector for key %d has node ids outside [0,%d) (corrupt store?)", key, g.NumNodes())
 			}
 			mp[key] = vec
-		}
-		*section = mp
-	}
-	if version == 2 {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
-		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt plan section count %d", count)
-		}
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr, version)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, vlen)
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, err
-			}
-			hubs, _, err := sparse.DecodeColumnar(buf)
-			if err != nil {
-				return nil, fmt.Errorf("core: hub plan for %d: %w", key, err)
-			}
-			for _, hub := range hubs {
-				if hub < 0 || int(hub) >= g.NumNodes() {
-					return nil, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
-				}
-			}
 		}
 	}
 	if err := checkSections(h, s.HubPartial, s.Skeleton, s.LeafPPV); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,30 +100,42 @@ func TestOpenRejectsHierarchyDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.H.Opts.Seed = 22
-	dir := t.TempDir()
-	for _, format := range []struct {
-		name string
-		save func(io.Writer, *Store) error
-	}{{"v2", Save}, {"v1", saveV1}} {
-		var buf bytes.Buffer
-		if err := format.save(&buf, s); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if err := Save(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	assertRerunPrecomp(t, buf.Bytes())
+}
+
+// TestOpenRejectsFormatV1: the retired interleaved-payload format is
+// refused by every open path with the same advice as hierarchy drift.
+func TestOpenRejectsFormatV1(t *testing.T) {
+	g := testGraph(t, 41)
+	var buf bytes.Buffer
+	buf.WriteString("EXPPRST1")
+	writeStoreHeader(&buf, tightParams(), hierarchy.Options{Seed: 1}, g)
+	buf.Write(make([]byte, 3*4)) // three empty sections
+	assertRerunPrecomp(t, buf.Bytes())
+}
+
+// assertRerunPrecomp checks that Load and both disk open paths refuse
+// the file bytes with a "re-run pprprecomp" error.
+func assertRerunPrecomp(t *testing.T, file []byte) {
+	t.Helper()
+	if _, err := Load(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
+		t.Fatalf("Load: err %v, want a re-run pprprecomp error", err)
+	}
+	path := filepath.Join(t.TempDir(), "s.store")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
+		ds, err := OpenDiskStoreWith(path, opts)
+		if err == nil {
+			ds.Close()
 		}
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
-			t.Fatalf("%s: Load accepted a drifted store (err %v)", format.name, err)
-		}
-		path := filepath.Join(dir, format.name+".store")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
-			ds, err := OpenDiskStoreWith(path, opts)
-			if err == nil {
-				ds.Close()
-			}
-			if err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
-				t.Fatalf("%s %+v: OpenDiskStoreWith accepted a drifted store (err %v)", format.name, opts, err)
-			}
+		if err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
+			t.Fatalf("OpenDiskStoreWith %+v: err %v, want a re-run pprprecomp error", opts, err)
 		}
 	}
 }

@@ -14,19 +14,20 @@ import (
 // S_u(h) = s_u(h) − α·f_u(h) comes from the skeleton section. Stored
 // row-major (one vector per hub), answering that needs the ENTIRE
 // skeleton vector of every path hub fetched from disk just to read one
-// scalar — by far the dominant read traffic of the old disk-resident
-// query path. The transpose stores, per query node u, exactly the
-// non-zero (h, s_u(h)) pairs it will fold, so a disk query reads one
-// small plan row plus the partial vectors it actually needs: zero
-// skeleton payloads.
+// scalar — by far the dominant read traffic of a disk-resident query.
+// The transpose stores, per query node u, exactly the non-zero
+// (h, s_u(h)) pairs it will fold, so a disk query reads one small plan
+// row plus the partial vectors it actually needs: zero skeleton
+// payloads. Save writes the rows as the store file's fourth section;
+// DiskStore folds them.
 //
 // Ordering is load-bearing: floating-point accumulation must visit hubs
-// in exactly the order Store.Query does — Path(u) root→home, then
-// node.Hubs order — or disk and in-memory answers stop being
-// bit-identical. A path holds at most one tree node per level, so the
-// pair (home level, index within node.Hubs) is a total fold rank that
-// reproduces that order for every query node at once; rows are kept
-// sorted by it.
+// in exactly the order the in-memory fold does — Path(u) root→home,
+// then node.Hubs order — or disk and in-memory answers stop being
+// bit-identical. A path holds at most one tree node per level, so
+// visiting hubs by (home level, index within node.Hubs) and appending
+// each skeleton entry to its source's row leaves every row in fold
+// order with no sort.
 
 // planRow is one query node's hub-weight plan: parallel arrays of hub id
 // and raw skeleton value s_u(h), in fold order (NOT sorted by id).
@@ -35,79 +36,66 @@ type planRow struct {
 	s    []float64
 }
 
-// planBuilder accumulates the transpose incrementally so the two
-// producers — Save (section maps in memory) and the legacy-file open
-// path (skeleton payloads streamed off disk) — share one implementation.
-type planBuilder struct {
-	h     *hierarchy.Hierarchy
-	ranks map[int32]int64
-	rows  map[int32]planRow
+// planTable holds every row in two flat arrays: row u is entries
+// off[u] to off[u+1].
+type planTable struct {
+	off  []int
+	hubs []int32
+	s    []float64
 }
 
-func newPlanBuilder(h *hierarchy.Hierarchy) *planBuilder {
-	ranks := make(map[int32]int64)
-	for _, n := range h.Nodes() {
-		for i, hub := range n.Hubs {
-			ranks[hub] = int64(n.Level)<<32 | int64(i)
+func (t planTable) row(u int32) planRow {
+	a, b := t.off[u], t.off[u+1]
+	return planRow{t.hubs[a:b], t.s[a:b]}
+}
+
+// rows counts the non-empty rows.
+func (t planTable) rows() int {
+	n := 0
+	for u := range len(t.off) - 1 {
+		if t.off[u+1] > t.off[u] {
+			n++
 		}
 	}
-	return &planBuilder{h: h, ranks: ranks, rows: make(map[int32]planRow)}
+	return n
 }
 
-// addSkeleton transposes one hub's skeleton vector into the per-source
-// rows.
-func (b *planBuilder) addSkeleton(hub int32, vec sparse.Packed) {
-	vec.ForEach(func(w int32, s float64) {
-		row := b.rows[w]
-		row.hubs = append(row.hubs, hub)
-		row.s = append(row.s, s)
-		b.rows[w] = row
+// buildHubPlans transposes the skeleton section into plan rows, counting
+// each row's length in a first pass and filling the rows in a second.
+// Each hub's own row is guaranteed to contain the hub itself (with value
+// 0 when the stored skeleton lacks it, e.g. after aggressive truncation)
+// because the fold applies the −α self-adjustment to that entry even
+// when s_u(u) is absent.
+func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) planTable {
+	nodes := slices.Clone(h.Nodes())
+	slices.SortStableFunc(nodes, func(a, b *hierarchy.Node) int { return a.Level - b.Level })
+	// visit calls f(u, hub, s_u(hub)) for every plan entry in fold order.
+	visit := func(f func(u, hub int32, s float64)) {
+		for _, node := range nodes {
+			for _, hub := range node.Hubs {
+				self := false
+				skeleton[hub].ForEach(func(u int32, s float64) {
+					self = self || u == hub
+					f(u, hub, s)
+				})
+				if !self {
+					f(hub, hub, 0)
+				}
+			}
+		}
+	}
+	n := h.G.NumNodes()
+	t := planTable{off: make([]int, n+1)}
+	visit(func(u, _ int32, _ float64) { t.off[u+1]++ })
+	for u := range n {
+		t.off[u+1] += t.off[u]
+	}
+	t.hubs = make([]int32, t.off[n])
+	t.s = make([]float64, t.off[n])
+	next := slices.Clone(t.off[:n])
+	visit(func(u, hub int32, s float64) {
+		t.hubs[next[u]], t.s[next[u]] = hub, s
+		next[u]++
 	})
-}
-
-// finish sorts every row into fold order and returns the plan table.
-// Each hub's own row is guaranteed to contain the hub itself (injected
-// with value 0 when the stored skeleton lacks it, e.g. after aggressive
-// truncation) because the query fold applies the −α self-adjustment to
-// that entry even when s_u(u) is absent.
-func (b *planBuilder) finish() map[int32]planRow {
-	for hub := range b.ranks {
-		row := b.rows[hub]
-		if !slices.Contains(row.hubs, hub) {
-			row.hubs = append(row.hubs, hub)
-			row.s = append(row.s, 0)
-			b.rows[hub] = row
-		}
-	}
-	for u, row := range b.rows {
-		b.sortRow(row)
-		b.rows[u] = row
-	}
-	return b.rows
-}
-
-// sortRow orders a row by fold rank (insertion sort: rows are short —
-// one entry per path hub — and already nearly ordered when skeletons
-// arrive level by level).
-func (b *planBuilder) sortRow(row planRow) {
-	for i := 1; i < len(row.hubs); i++ {
-		hi, si := row.hubs[i], row.s[i]
-		ri := b.ranks[hi]
-		j := i - 1
-		for j >= 0 && b.ranks[row.hubs[j]] > ri {
-			row.hubs[j+1], row.s[j+1] = row.hubs[j], row.s[j]
-			j--
-		}
-		row.hubs[j+1], row.s[j+1] = hi, si
-	}
-}
-
-// buildHubPlans computes the full plan table from an in-memory skeleton
-// section (the Save path).
-func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) map[int32]planRow {
-	b := newPlanBuilder(h)
-	for hub, vec := range skeleton {
-		b.addSkeleton(hub, vec)
-	}
-	return b.finish()
+	return t
 }

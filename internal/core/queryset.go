@@ -2,126 +2,73 @@ package core
 
 import (
 	"fmt"
-
-	"exactppr/internal/sparse"
+	"math"
 )
 
 // Preference-set queries. The PPV of a preference set P with weights w
 // is the w-weighted combination of the members' PPVs — the linearity
 // property of Jeh–Widom [25] that the paper's preliminaries build on
-// (§1, Eq. 1). Both the centralized store and the shards support it, so
-// the distributed protocol still needs exactly one vector per machine
-// per query.
+// (§1, Eq. 1). Every backend and shard supports it, so the distributed
+// protocol still needs exactly one vector per machine per query.
 
-// Preference is a weighted preference node set. Weights must be positive;
-// they are normalized to sum to 1.
+// Preference is a weighted preference node set. Weights must be positive
+// and finite; they are normalized to sum to 1.
 type Preference struct {
 	Nodes   []int32
 	Weights []float64 // nil = uniform
 }
 
-// normalized validates the preference and returns per-node normalized
-// weights.
-func (p Preference) normalized(n int) ([]float64, error) {
+// Validate checks the rules that do not depend on the graph: a
+// non-empty set of distinct nodes, one positive finite weight per node
+// (or none), and a finite weight sum. Node ids are range-checked
+// against the graph when the query runs.
+func (p Preference) Validate() error {
 	if len(p.Nodes) == 0 {
-		return nil, fmt.Errorf("core: empty preference set")
+		return fmt.Errorf("core: empty preference set")
 	}
 	if p.Weights != nil && len(p.Weights) != len(p.Nodes) {
-		return nil, fmt.Errorf("core: %d weights for %d nodes", len(p.Weights), len(p.Nodes))
+		return fmt.Errorf("core: %d weights for %d nodes", len(p.Weights), len(p.Nodes))
 	}
 	seen := make(map[int32]bool, len(p.Nodes))
+	for _, u := range p.Nodes {
+		if seen[u] {
+			return fmt.Errorf("core: duplicate preference node %d", u)
+		}
+		seen[u] = true
+	}
+	var total float64
+	for i, wi := range p.Weights {
+		if !(wi > 0) || math.IsInf(wi, 1) {
+			return fmt.Errorf("core: weight %v for node %d is not positive and finite", wi, p.Nodes[i])
+		}
+		total += wi
+	}
+	if math.IsInf(total, 1) {
+		return fmt.Errorf("core: preference weights overflow (sum %v)", total)
+	}
+	return nil
+}
+
+// normalized validates the preference against an n-node graph and
+// returns per-node normalized weights.
+func (p Preference) normalized(n int) ([]float64, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	w := make([]float64, len(p.Nodes))
 	var total float64
 	for i, u := range p.Nodes {
 		if u < 0 || int(u) >= n {
 			return nil, fmt.Errorf("core: preference node %d out of range", u)
 		}
-		if seen[u] {
-			return nil, fmt.Errorf("core: duplicate preference node %d", u)
-		}
-		seen[u] = true
-		wi := 1.0
+		w[i] = 1
 		if p.Weights != nil {
-			wi = p.Weights[i]
-			if wi <= 0 {
-				return nil, fmt.Errorf("core: non-positive weight %v for node %d", wi, u)
-			}
+			w[i] = p.Weights[i]
 		}
-		w[i] = wi
-		total += wi
+		total += w[i]
 	}
 	for i := range w {
 		w[i] /= total
 	}
 	return w, nil
-}
-
-// QuerySet constructs the exact PPV of a preference node set by
-// linearity. All members fold into one shared accumulator — no
-// per-member intermediate vectors.
-func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
-	w, err := p.normalized(s.H.G.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	for i, u := range p.Nodes {
-		if err := s.queryInto(acc, u, w[i]); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Vector(), nil
-}
-
-// QuerySetVector is the shard-side preference-set fold: the weighted
-// combination of the shard's per-node shares. Summing all shards'
-// QuerySetVector outputs yields exactly QuerySet's result, still in one
-// round.
-func (sh *Shard) QuerySetVector(p Preference) (sparse.Vector, error) {
-	acc, err := sh.querySetInto(p)
-	if err != nil {
-		return nil, err
-	}
-	defer acc.Release()
-	return acc.Vector(), nil
-}
-
-// QuerySetPacked is QuerySetVector draining into the columnar form the
-// wire protocol encodes directly.
-func (sh *Shard) QuerySetPacked(p Preference) (sparse.Packed, error) {
-	acc, err := sh.querySetInto(p)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	defer acc.Release()
-	return acc.Packed(), nil
-}
-
-func (sh *Shard) querySetInto(p Preference) (*sparse.Accumulator, error) {
-	w, err := p.normalized(sh.store.H.G.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	acc := sparse.AcquireAccumulator(sh.store.H.G.NumNodes())
-	for i, u := range p.Nodes {
-		if err := sh.queryInto(acc, u, w[i]); err != nil {
-			acc.Release()
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// QueryTopK returns the k highest-scoring nodes of u's exact PPV — the
-// common application-facing call (recommendation, link prediction). The
-// top-k selection runs straight off the accumulator: no map, no full
-// sort.
-func (s *Store) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return nil, err
-	}
-	return acc.TopK(k), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"exactppr/internal/hierarchy"
@@ -55,6 +56,9 @@ func TestQuerySetErrors(t *testing.T) {
 		{Nodes: []int32{1, 1}},
 		{Nodes: []int32{1}, Weights: []float64{0}},
 		{Nodes: []int32{1}, Weights: []float64{-2}},
+		{Nodes: []int32{1, 2}, Weights: []float64{1e308, 1e308}}, // sum overflows
+		{Nodes: []int32{1, 2}, Weights: []float64{math.NaN(), 1}},
+		{Nodes: []int32{1, 2}, Weights: []float64{math.Inf(1), 1}},
 	}
 	for i, p := range cases {
 		if _, err := s.QuerySet(p); err == nil {
@@ -77,24 +81,25 @@ func TestShardQuerySetSumsToCentral(t *testing.T) {
 	}
 	sum := sparse.New(0)
 	for _, sh := range shards {
-		v, err := sh.QuerySetVector(pref)
+		v, err := sh.QuerySetPacked(pref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum.AddScaled(v, 1)
+		sum.AddScaled(v.Unpack(), 1)
 	}
 	if d := sparse.LInfDistance(sum, want); d > 1e-12 {
 		t.Fatalf("shard QuerySet sum L∞ = %v", d)
 	}
 }
 
-func TestQueryTopK(t *testing.T) {
+func TestQueryPackedTopK(t *testing.T) {
 	g := testGraph(t, 54)
 	s := buildStore(t, g, hierarchy.Options{Seed: 54})
-	top, err := s.QueryTopK(7, 5)
+	p, err := s.QueryPacked(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := p.TopK(5)
 	if len(top) != 5 {
 		t.Fatalf("got %d entries", len(top))
 	}
@@ -103,7 +108,7 @@ func TestQueryTopK(t *testing.T) {
 			t.Fatal("TopK not sorted")
 		}
 	}
-	if _, err := s.QueryTopK(-1, 5); err == nil {
+	if _, err := s.QueryPacked(-1); err == nil {
 		t.Fatal("bad node should fail")
 	}
 }

@@ -59,11 +59,11 @@ func TestQuickExactnessRandomized(t *testing.T) {
 			}
 			sum := sparse.New(0)
 			for _, sh := range shards {
-				v, err := sh.QueryVector(u)
+				v, err := sh.QueryPacked(u)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum.AddScaled(v, 1)
+				sum.AddScaled(v.Unpack(), 1)
 			}
 			if d := sparse.LInfDistance(sum, got); d > 1e-12 {
 				t.Fatalf("trial %d u=%d: shards off by %v", trial, u, d)

@@ -6,9 +6,11 @@
 //     local PPVs — plus the exact query-time construction (§4.3–4.4,
 //     Theorems 1 and 3). GPA (§3) is the special case of a single-level
 //     hierarchy.
-//   - Shard: the per-machine slice of a Store under the paper's
-//     hub-distributed load balancing (§4.4); shard outputs sum to the
-//     exact PPV, one vector per machine per query.
+//   - DiskStore: the same store served straight from its file (mmap,
+//     transposed skeleton index, coalescing cache).
+//   - Shard: the per-machine slice of a Store or DiskStore under the
+//     paper's hub-distributed load balancing (§4.4); shard outputs sum
+//     to the exact PPV, one vector per machine per query.
 //   - JWStore: the PPV-JW brute-force baseline (§2.3) with
 //     PageRank-selected hub nodes.
 //
@@ -27,6 +29,8 @@
 // iteration in the package tests). The second term is machine-local in
 // the distributed setting — whoever owns hub h owns both P_h and the
 // skeleton vector of h — so the one-round protocol of §4.4 is preserved.
+// The identity is written once, in fold.go, and every query method of
+// every backend is a drain of that one fold.
 package core
 
 import (
@@ -343,64 +347,58 @@ func (s *Store) computeLeaf(t precomputeTask, sc *ppr.Scratch) (sparse.Packed, e
 // intermediate maps — and drains once into the map Vector the public
 // API promises.
 func (s *Store) Query(u int32) (sparse.Vector, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return nil, err
-	}
-	return acc.Vector(), nil
+	return drain(s, nil, u, nil, nil, toVector)
 }
 
 // QueryPacked is Query draining into the columnar representation —
 // the form the serving layer encodes straight onto the wire.
 func (s *Store) QueryPacked(u int32) (sparse.Packed, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return sparse.Packed{}, err
-	}
-	return acc.Packed(), nil
+	return drain(s, nil, u, nil, nil, toPacked)
 }
 
-// queryInto folds w times the exact PPV of u into acc — the shared core
-// of Query, QueryPacked, QueryTopK, and the weighted QuerySet fold.
-func (s *Store) queryInto(acc *sparse.Accumulator, u int32, w float64) error {
-	if u < 0 || int(u) >= s.H.G.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range", u)
-	}
+// QuerySet constructs the exact PPV of a preference node set by
+// linearity. All members fold into one shared accumulator — no
+// per-member intermediate vectors.
+func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
+	return drainSet(s, nil, p, toVector)
+}
+
+// The fold source over the in-memory sections (see fold.go).
+
+func (s *Store) tree() *hierarchy.Hierarchy { return s.H }
+func (s *Store) alpha() float64             { return s.Params.Alpha }
+
+// hubWeights walks Path(u) and builds in buf the row of owned hubs with
+// a non-zero skeleton entry (plus u itself); ownership is checked
+// first, so a shard looks up only its own hubs.
+func (s *Store) hubWeights(u int32, sh *Shard, buf *planRow) (planRow, error) {
+	buf.hubs, buf.s = buf.hubs[:0], buf.s[:0]
 	for _, node := range s.H.Path(u) {
 		for _, h := range node.Hubs {
-			s.addHubContribution(acc, u, h, w)
+			if !sh.owns(h) {
+				continue
+			}
+			if x := s.Skeleton[h].Get(u); x != 0 || h == u {
+				buf.hubs = append(buf.hubs, h)
+				buf.s = append(buf.s, x)
+			}
 		}
 	}
-	s.addFinalTerm(acc, u, w)
-	return nil
+	return *buf, nil
 }
 
-// addHubContribution folds w times hub h's term into acc for query node
-// u: (S_u(h)/α)·P_h plus the direct skeleton entry S_u(h) at h.
-func (s *Store) addHubContribution(acc *sparse.Accumulator, u, h int32, w float64) {
-	su := s.Skeleton[h].Get(u)
-	if h == u {
-		su -= s.Params.Alpha // S_u(h) = s_u(h) − α·f_u(h)
+func (s *Store) partial(h int32) (sparse.Packed, error) { return s.HubPartial[h], nil }
+func (s *Store) leaf(u int32) (sparse.Packed, error)    { return s.LeafPPV[u], nil }
+
+func (s *Store) vectorBytes(v int32) int64 {
+	if s.H.IsHub(v) {
+		return int64(sparse.EncodedSizePacked(s.HubPartial[v]) + sparse.EncodedSizePacked(s.Skeleton[v]))
 	}
-	if su == 0 {
-		return
-	}
-	acc.AddPacked(s.HubPartial[h], w*su/s.Params.Alpha)
-	acc.Add(h, w*su)
+	return int64(sparse.EncodedSizePacked(s.LeafPPV[v]))
 }
 
-// addFinalTerm adds the recursion's base case: the leaf-level local PPV
-// for a non-hub query, or the hub's own partial vector p_u = P_u + α·x_u.
-func (s *Store) addFinalTerm(acc *sparse.Accumulator, u int32, w float64) {
-	if s.H.IsHub(u) {
-		acc.AddPacked(s.HubPartial[u], w)
-		acc.Add(u, w*s.Params.Alpha)
-		return
-	}
-	acc.AddPacked(s.LeafPPV[u], w)
-}
+func (s *Store) acquire() error { return nil }
+func (s *Store) release()       {}
 
 // Truncate removes every stored entry with absolute value below min,
 // producing the paper's adapted method HGPA_ad (§6.2.9, min = 1e-4).

@@ -162,11 +162,11 @@ func TestApplyUpdatesShardsStayExact(t *testing.T) {
 		}
 		sum := sparse.New(64)
 		for _, sh := range shards {
-			v, err := sh.QueryVector(u)
+			v, err := sh.QueryPacked(u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum.AddScaled(v, 1)
+			sum.AddScaled(v.Unpack(), 1)
 		}
 		if d := sparse.LInfDistance(sum, want); d > 1e-12 {
 			t.Fatalf("u=%d: shard sum L∞ = %v after updates", u, d)

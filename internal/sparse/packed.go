@@ -410,18 +410,6 @@ func (a *Accumulator) Vector() Vector {
 	return v
 }
 
-// TopK returns the k highest-scoring accumulated entries (ties to the
-// smaller id) without draining.
-func (a *Accumulator) TopK(k int) []Entry {
-	sel := newTopKSelector(k)
-	for _, id := range a.touched {
-		if x := a.scratch[id]; x != 0 {
-			sel.offer(id, x)
-		}
-	}
-	return sel.take()
-}
-
 // topKSelector is a bounded min-heap of the k best entries seen so far:
 // O(n log k) instead of the O(n log n) full sort, which is the
 // per-request cost the gateway pays on every ?topk=K query. The heap

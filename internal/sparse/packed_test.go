@@ -279,7 +279,7 @@ func TestAccumulatorGrow(t *testing.T) {
 
 func TestTopKEquivalence(t *testing.T) {
 	// Bounded-heap TopK must agree with the full-sort reference on
-	// random data, for map, packed, and accumulator alike.
+	// random data, for map and packed alike.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		v := Vector{}
@@ -305,12 +305,6 @@ func TestTopKEquivalence(t *testing.T) {
 			if got := Pack(v).TopK(k); !topKEqual(got, want) {
 				t.Fatalf("Packed.TopK(%d) = %v, want %v", k, got, want)
 			}
-			a := AcquireAccumulator(500)
-			a.AddVector(v, 1)
-			if got := a.TopK(k); !topKEqual(got, want) {
-				t.Fatalf("Accumulator.TopK(%d) = %v, want %v", k, got, want)
-			}
-			a.Release()
 		}
 	}
 }
