@@ -34,6 +34,17 @@ func buildStore(t *testing.T, g *graph.Graph, opts hierarchy.Options) *Store {
 	return s
 }
 
+// skeletonMap returns the store's skeleton vectors, hub-major, as Save
+// writes them.
+func skeletonMap(t *testing.T, s *Store) map[int32]sparse.Packed {
+	t.Helper()
+	m, err := s.plans.skeletons(s.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // sampleQueries picks a spread of query nodes including hubs of several
 // levels, the regression-prone cases.
 func sampleQueries(s *Store) []int32 {

@@ -425,7 +425,7 @@ func (d *DiskStore) alpha() float64             { return d.Params.Alpha }
 
 // hubWeights returns u's stored plan row — only its non-zero path hubs,
 // already in fold order — for every shard alike.
-func (d *DiskStore) hubWeights(u int32, _ *Shard, _ *planRow) (planRow, error) {
+func (d *DiskStore) hubWeights(u int32) (planRow, error) {
 	return d.plan(u)
 }
 

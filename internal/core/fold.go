@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/sparse"
@@ -24,13 +23,11 @@ type source interface {
 	tree() *hierarchy.Hierarchy
 	alpha() float64
 	// hubWeights returns u's plan row: the pairs (h, s_u(h)) for the
-	// hubs h on Path(u), in fold order. It holds at least the hubs sh
-	// owns (every hub when sh is nil); the caller skips the others. A
-	// source may leave out hubs whose weight is zero, but never h == u:
-	// the fold applies the −α self-adjustment to that entry even when
-	// s_u(u) is zero. A source that builds rows per query builds them
-	// in buf.
-	hubWeights(u int32, sh *Shard, buf *planRow) (planRow, error)
+	// hubs h on Path(u), in fold order; a shard skips the hubs it does
+	// not own. A source may leave out hubs whose weight is zero, but
+	// never h == u: the fold applies the −α self-adjustment to that
+	// entry even when s_u(u) is zero.
+	hubWeights(u int32) (planRow, error)
 	// partial returns hub h's adjusted partial vector P_h.
 	partial(h int32) (sparse.Packed, error)
 	// leaf returns non-hub u's leaf-level local PPV.
@@ -46,12 +43,12 @@ type source interface {
 
 // fold adds w times (sh's share of) u's exact PPV to acc. The caller
 // holds the source's lifecycle lock.
-func fold(src source, acc *sparse.Accumulator, buf *planRow, u int32, w float64, sh *Shard) error {
+func fold(src source, acc *sparse.Accumulator, u int32, w float64, sh *Shard) error {
 	h := src.tree()
 	if u < 0 || int(u) >= h.G.NumNodes() {
 		return fmt.Errorf("core: query node %d out of range", u)
 	}
-	row, err := src.hubWeights(u, sh, buf)
+	row, err := src.hubWeights(u)
 	if err != nil {
 		return err
 	}
@@ -107,15 +104,13 @@ func drain[T any](src source, sh *Shard, u int32, nodes []int32, w []float64, ou
 	defer src.release()
 	acc := sparse.AcquireAccumulator(src.tree().G.NumNodes())
 	defer acc.Release()
-	buf := rowPool.Get().(*planRow)
-	defer rowPool.Put(buf)
 	if nodes == nil {
-		if err := fold(src, acc, buf, u, 1, sh); err != nil {
+		if err := fold(src, acc, u, 1, sh); err != nil {
 			return zero, err
 		}
 	}
 	for i, v := range nodes {
-		if err := fold(src, acc, buf, v, w[i], sh); err != nil {
+		if err := fold(src, acc, v, w[i], sh); err != nil {
 			return zero, err
 		}
 	}
@@ -131,10 +126,6 @@ func drainSet[T any](src source, sh *Shard, p Preference, out func(*sparse.Accum
 	}
 	return drain(src, sh, 0, p.Nodes, w, out)
 }
-
-// rowPool recycles the plan-row buffers of sources that build rows per
-// query, so a fold allocates nothing but its drained result.
-var rowPool = sync.Pool{New: func() any { return new(planRow) }}
 
 // The drains the query methods use.
 var (

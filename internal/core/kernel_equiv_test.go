@@ -54,7 +54,7 @@ func comparePackedMaps(t *testing.T, section string, got, want map[int32]sparse.
 func compareStores(t *testing.T, got, want *Store) {
 	t.Helper()
 	comparePackedMaps(t, "HubPartial", got.HubPartial, want.HubPartial)
-	comparePackedMaps(t, "Skeleton", got.Skeleton, want.Skeleton)
+	comparePackedMaps(t, "Skeleton", skeletonMap(t, got), skeletonMap(t, want))
 	comparePackedMaps(t, "LeafPPV", got.LeafPPV, want.LeafPPV)
 }
 

@@ -190,7 +190,7 @@ func TestTruncatePacked(t *testing.T) {
 	s := buildStore(t, g, hierarchy.Options{Seed: 30})
 	const min = 1e-4
 	var expect int
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+	for _, m := range []map[int32]sparse.Packed{s.HubPartial, skeletonMap(t, s), s.LeafPPV} {
 		for _, v := range m {
 			for _, e := range v.Entries() {
 				if e.Score < min && e.Score > -min {
@@ -207,7 +207,7 @@ func TestTruncatePacked(t *testing.T) {
 	if got := s.SpaceBytes(); got != before-int64(12*dropped) {
 		t.Fatalf("SpaceBytes %d after dropping %d entries from %d", got, dropped, before)
 	}
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+	for _, m := range []map[int32]sparse.Packed{s.HubPartial, skeletonMap(t, s), s.LeafPPV} {
 		for key, v := range m {
 			for _, e := range v.Entries() {
 				if e.Score < min && e.Score > -min {

@@ -136,7 +136,11 @@ func Save(w io.Writer, s *Store) error {
 		return err
 	}
 
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+	skeleton, err := s.plans.skeletons(s.H)
+	if err != nil {
+		return err
+	}
+	for _, section := range []map[int32]sparse.Packed{s.HubPartial, skeleton, s.LeafPPV} {
 		writeI32(int32(len(section)))
 		for _, key := range sortedKeys(section) {
 			if err := writeRecord(key, sparse.EncodeColumnarPacked(section[key])); err != nil {
@@ -144,10 +148,9 @@ func Save(w io.Writer, s *Store) error {
 			}
 		}
 	}
-	plans := buildHubPlans(s.H, s.Skeleton)
-	writeI32(int32(plans.rows()))
+	writeI32(int32(s.plans.rows()))
 	for u := range s.H.G.NumNodes() {
-		if row := plans.row(int32(u)); len(row.hubs) > 0 {
+		if row := s.plans.row(int32(u)); len(row.hubs) > 0 {
 			if err := writeRecord(int32(u), sparse.EncodeColumnar(row.hubs, row.s)); err != nil {
 				return err
 			}
@@ -282,10 +285,11 @@ func readRecordMeta(cr *countingReader) (key, vlen int32, err error) {
 }
 
 // Load reads a store written by Save, rebuilding the hierarchy
-// deterministically from the stored options. The plan section is
-// validated and discarded: an in-memory store folds skeletons directly,
-// but a truncated or corrupt trailer must still be reported at load
-// time, not at first serve.
+// deterministically from the stored options. The skeleton section is
+// transposed into the store's plan rows and then dropped. The plan
+// section holds the same rows; it is only checked, in place, so that a
+// truncated or corrupt trailer is reported at load time, not at first
+// serve.
 func Load(r io.Reader) (*Store, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
 	params, opts, g, err := readStoreHeader(cr)
@@ -297,7 +301,9 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{H: h, Params: params}
-	sections := []*map[int32]sparse.Packed{&s.HubPartial, &s.Skeleton, &s.LeafPPV, nil}
+	var skeleton map[int32]sparse.Packed
+	sections := []*map[int32]sparse.Packed{&s.HubPartial, &skeleton, &s.LeafPPV, nil}
+	var buf []byte // one payload at a time: decoding copies out of it
 	for sec, section := range sections {
 		var count int32
 		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
@@ -316,21 +322,25 @@ func Load(r io.Reader) (*Store, error) {
 			if err != nil {
 				return nil, err
 			}
-			buf := make([]byte, vlen)
+			buf = slices.Grow(buf[:0], int(vlen))[:vlen]
 			if _, err := io.ReadFull(cr, buf); err != nil {
 				return nil, err
 			}
-			ids, scores, err := sparse.DecodeColumnar(buf)
-			if err != nil {
-				return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
-			}
-			if section == nil { // hub plans
-				for _, hub := range ids {
+			if section == nil { // hub plans: a view over buf, checked and dropped
+				hubs, _, err := sparse.ViewColumnar(buf)
+				if err != nil {
+					return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
+				}
+				for _, hub := range hubs {
 					if hub < 0 || int(hub) >= g.NumNodes() {
 						return nil, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
 					}
 				}
 				continue
+			}
+			ids, scores, err := sparse.DecodeColumnar(buf)
+			if err != nil {
+				return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
 			}
 			vec, err := sparse.PackedView(ids, scores)
 			if err != nil {
@@ -342,9 +352,10 @@ func Load(r io.Reader) (*Store, error) {
 			mp[key] = vec
 		}
 	}
-	if err := checkSections(h, s.HubPartial, s.Skeleton, s.LeafPPV); err != nil {
+	if err := checkSections(h, s.HubPartial, skeleton, s.LeafPPV); err != nil {
 		return nil, err
 	}
+	s.plans = buildHubPlans(h, skeleton)
 	return s, nil
 }
 

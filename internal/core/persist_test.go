@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("params: %+v vs %+v", loaded.Params, s.Params)
 	}
 	if len(loaded.HubPartial) != len(s.HubPartial) ||
-		len(loaded.Skeleton) != len(s.Skeleton) ||
+		!reflect.DeepEqual(loaded.plans, s.plans) ||
 		len(loaded.LeafPPV) != len(s.LeafPPV) {
 		t.Fatal("vector sections not restored")
 	}

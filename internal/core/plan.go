@@ -13,21 +13,19 @@ import (
 // (S_u(h)/α)·P_h + S_u(h)·x_h for every hub h on Path(u), where
 // S_u(h) = s_u(h) − α·f_u(h) comes from the skeleton section. Stored
 // row-major (one vector per hub), answering that needs the ENTIRE
-// skeleton vector of every path hub fetched from disk just to read one
-// scalar — by far the dominant read traffic of a disk-resident query.
-// The transpose stores, per query node u, exactly the non-zero
-// (h, s_u(h)) pairs it will fold, so a disk query reads one small plan
-// row plus the partial vectors it actually needs: zero skeleton
-// payloads. Save writes the rows as the store file's fourth section;
-// DiskStore folds them.
+// skeleton vector of every path hub just to read one scalar. The
+// transpose stores, per query node u, exactly the non-zero (h, s_u(h))
+// pairs it will fold, so a query's hub-weight work is proportional to
+// its answer: one row, no per-hub lookups. The in-memory Store holds
+// its skeletons only in this form; Save writes the rows as the store
+// file's fourth section, which DiskStore folds straight from the file.
 //
 // Ordering is load-bearing: floating-point accumulation must visit hubs
-// in exactly the order the in-memory fold does — Path(u) root→home,
-// then node.Hubs order — or disk and in-memory answers stop being
-// bit-identical. A path holds at most one tree node per level, so
-// visiting hubs by (home level, index within node.Hubs) and appending
-// each skeleton entry to its source's row leaves every row in fold
-// order with no sort.
+// in exactly the order of Path(u) root→home, then node.Hubs order — or
+// disk and in-memory answers stop being bit-identical. A path holds at
+// most one tree node per level, so visiting hubs by (home level, index
+// within node.Hubs) and appending each skeleton entry to its source's
+// row leaves every row in fold order with no sort.
 
 // planRow is one query node's hub-weight plan: parallel arrays of hub id
 // and raw skeleton value s_u(h), in fold order (NOT sorted by id).
@@ -37,15 +35,26 @@ type planRow struct {
 }
 
 // planTable holds every row in two flat arrays: row u is entries
-// off[u] to off[u+1].
+// off[u] to off[u+1]. Each hub's own row holds the hub itself, with
+// value 0 when its skeleton lacks that entry (e.g. after aggressive
+// truncation), because the fold applies the −α self-adjustment to it
+// even when s_u(u) is absent; every other entry is a stored, non-zero
+// skeleton entry. skelLen[h] counts hub h's stored entries. A table is
+// immutable once built, so snapshots share it.
 type planTable struct {
-	off  []int
-	hubs []int32
-	s    []float64
+	off     []int
+	hubs    []int32
+	s       []float64
+	skelLen []int32
 }
 
+// row returns u's plan row; a node with no entries gets the zero row,
+// as from a DiskStore, which stores no record for it.
 func (t planTable) row(u int32) planRow {
 	a, b := t.off[u], t.off[u+1]
+	if a == b {
+		return planRow{}
+	}
 	return planRow{t.hubs[a:b], t.s[a:b]}
 }
 
@@ -60,16 +69,42 @@ func (t planTable) rows() int {
 	return n
 }
 
-// buildHubPlans transposes the skeleton section into plan rows, counting
-// each row's length in a first pass and filling the rows in a second.
-// Each hub's own row is guaranteed to contain the hub itself (with value
-// 0 when the stored skeleton lacks it, e.g. after aggressive truncation)
-// because the fold applies the −α self-adjustment to that entry even
-// when s_u(u) is absent.
+// entries counts the stored skeleton entries.
+func (t planTable) entries() int64 {
+	var n int64
+	for _, c := range t.skelLen {
+		n += int64(c)
+	}
+	return n
+}
+
+// buildHubPlans transposes skeleton vectors (one per hub of h) into
+// plan rows.
 func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) planTable {
-	nodes := slices.Clone(h.Nodes())
+	return planTable{}.rebuild(h, h.Nodes(), skeleton)
+}
+
+// rebuild returns the table of hierarchy h in which the hubs of nodes
+// take their entries from skeleton (their freshly computed vectors) and
+// every other hub keeps its entries from t. Row lengths are counted in
+// a first pass and the rows filled in a second.
+//
+// Fresh entries go first in each row. That is fold order because the
+// nodes an update recomputes are closed under ancestors (a dirty node's
+// parent is dirty; see internal/hierarchy's dirty-set semantics), so
+// on every Path(u) the fresh hubs sit above the kept ones; the kept
+// entries keep their relative order from t.
+func (t planTable) rebuild(h *hierarchy.Hierarchy, nodes []*hierarchy.Node, skeleton map[int32]sparse.Packed) planTable {
+	nodes = slices.Clone(nodes)
 	slices.SortStableFunc(nodes, func(a, b *hierarchy.Node) int { return a.Level - b.Level })
-	// visit calls f(u, hub, s_u(hub)) for every plan entry in fold order.
+	n := h.G.NumNodes()
+	fresh := make([]bool, n)
+	for _, node := range nodes {
+		for _, hub := range node.Hubs {
+			fresh[hub] = true
+		}
+	}
+	// visit calls f(u, hub, s_u(hub)) for every fresh entry in fold order.
 	visit := func(f func(u, hub int32, s float64)) {
 		for _, node := range nodes {
 			for _, hub := range node.Hubs {
@@ -84,18 +119,105 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) pla
 			}
 		}
 	}
-	n := h.G.NumNodes()
-	t := planTable{off: make([]int, n+1)}
-	visit(func(u, _ int32, _ float64) { t.off[u+1]++ })
-	for u := range n {
-		t.off[u+1] += t.off[u]
+	// keep calls f(u, i) for every entry i of t that stays.
+	keep := func(f func(u int32, i int)) {
+		for u := range len(t.off) - 1 {
+			for i := t.off[u]; i < t.off[u+1]; i++ {
+				if !fresh[t.hubs[i]] {
+					f(int32(u), i)
+				}
+			}
+		}
 	}
-	t.hubs = make([]int32, t.off[n])
-	t.s = make([]float64, t.off[n])
-	next := slices.Clone(t.off[:n])
-	visit(func(u, hub int32, s float64) {
-		t.hubs[next[u]], t.s[next[u]] = hub, s
+	nt := planTable{off: make([]int, n+1)}
+	visit(func(u, _ int32, _ float64) { nt.off[u+1]++ })
+	keep(func(u int32, _ int) { nt.off[u+1]++ })
+	for u := range n {
+		nt.off[u+1] += nt.off[u]
+	}
+	nt.hubs = make([]int32, nt.off[n])
+	nt.s = make([]float64, nt.off[n])
+	next := slices.Clone(nt.off[:n])
+	put := func(u, hub int32, s float64) {
+		nt.hubs[next[u]], nt.s[next[u]] = hub, s
 		next[u]++
-	})
-	return t
+	}
+	visit(put)
+	keep(func(u int32, i int) { put(u, t.hubs[i], t.s[i]) })
+	nt.countSkeletons()
+	return nt
+}
+
+// truncated returns the table without the stored entries of absolute
+// value below min, plus the number dropped — Store.Truncate's filter. A
+// hub's own entry stays, as 0, so the fold still applies its −α.
+func (t planTable) truncated(min float64) (planTable, int) {
+	small := func(x float64) bool { return x != 0 && x < min && x > -min }
+	if !slices.ContainsFunc(t.s, small) {
+		return t, 0
+	}
+	n := len(t.off) - 1
+	nt := planTable{off: make([]int, n+1)}
+	dropped := 0
+	for u := range n {
+		for i := t.off[u]; i < t.off[u+1]; i++ {
+			hub, x := t.hubs[i], t.s[i]
+			if small(x) {
+				dropped++
+				if hub != int32(u) {
+					continue
+				}
+				x = 0
+			}
+			nt.hubs = append(nt.hubs, hub)
+			nt.s = append(nt.s, x)
+		}
+		nt.off[u+1] = len(nt.hubs)
+	}
+	nt.countSkeletons()
+	return nt, dropped
+}
+
+// countSkeletons fills skelLen from the table's non-zero entries.
+func (t *planTable) countSkeletons() {
+	t.skelLen = make([]int32, len(t.off)-1)
+	for i, hub := range t.hubs {
+		if t.s[i] != 0 {
+			t.skelLen[hub]++
+		}
+	}
+}
+
+// skeletons transposes the table back into one skeleton vector per hub
+// of h, ids ascending — the store file's skeleton section. Synthesized
+// zero self entries are left out: they were never skeleton entries.
+func (t planTable) skeletons(h *hierarchy.Hierarchy) (map[int32]sparse.Packed, error) {
+	ids := make([]int32, t.entries())
+	scores := make([]float64, len(ids))
+	start := make([]int, len(t.skelLen)+1)
+	for hub, c := range t.skelLen {
+		start[hub+1] = start[hub] + int(c)
+	}
+	next := slices.Clone(start)
+	for u := range len(t.off) - 1 {
+		for i := t.off[u]; i < t.off[u+1]; i++ {
+			if x := t.s[i]; x != 0 {
+				hub := t.hubs[i]
+				ids[next[hub]], scores[next[hub]] = int32(u), x
+				next[hub]++
+			}
+		}
+	}
+	out := make(map[int32]sparse.Packed, h.TotalHubs())
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			a, b := start[hub], start[hub+1]
+			v, err := sparse.PackedView(ids[a:b:b], scores[a:b:b])
+			if err != nil {
+				return nil, err
+			}
+			out[hub] = v
+		}
+	}
+	return out, nil
 }

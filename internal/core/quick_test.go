@@ -109,7 +109,7 @@ func TestQuickStoreMassBounds(t *testing.T) {
 		}
 		checkRow("HubPartial", s.HubPartial)
 		checkRow("LeafPPV", s.LeafPPV)
-		for key, v := range s.Skeleton {
+		for key, v := range skeletonMap(t, s) {
 			for _, e := range v.Entries() {
 				if e.Score < -1e-12 || e.Score > 1+1e-9 {
 					t.Fatalf("Skeleton[%d]: entry %v at %d out of [0,1]", key, e.Score, e.ID)

@@ -111,7 +111,7 @@ func (sh *Shard) QueryWork(u int32) (int64, error) {
 			}
 		}
 	}
-	row, err := src.hubWeights(u, sh, new(planRow))
+	row, err := src.hubWeights(u)
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,10 @@
 // Personalized PageRank via graph partitioning. It provides
 //
 //   - Store: the HGPA pre-computation (§5) over a hierarchy — adjusted hub
-//     partial vectors P_h, hubs skeleton vectors s_·(h), and leaf-level
-//     local PPVs — plus the exact query-time construction (§4.3–4.4,
-//     Theorems 1 and 3). GPA (§3) is the special case of a single-level
-//     hierarchy.
+//     partial vectors P_h, hubs skeleton vectors s_·(h) (held transposed,
+//     as per-node plan rows), and leaf-level local PPVs — plus the exact
+//     query-time construction (§4.3–4.4, Theorems 1 and 3). GPA (§3) is
+//     the special case of a single-level hierarchy.
 //   - DiskStore: the same store served straight from its file (mmap,
 //     transposed skeleton index, coalescing cache).
 //   - Shard: the per-machine slice of a Store or DiskStore under the
@@ -56,12 +56,14 @@ type Store struct {
 	// so the flat representation keeps the query path cache-friendly
 	// and allocation-free.
 	HubPartial map[int32]sparse.Packed
-	// Skeleton[h](w) = s_w(h): the local PPV value at hub h for every
-	// source w in h's home subgraph, in global id space.
-	Skeleton map[int32]sparse.Packed
 	// LeafPPV[u] is the local PPV of non-hub node u w.r.t. its leaf-level
 	// virtual subgraph, in global id space.
 	LeafPPV map[int32]sparse.Packed
+
+	// plans holds the skeletons — s_w(h), the local PPV value at hub h
+	// for every source w in h's home subgraph — transposed into one row
+	// per source w, the only form a query reads them in (see plan.go).
+	plans planTable
 }
 
 // PrecomputeInfo reports the cost of a pre-computation run. Because the
@@ -123,13 +125,13 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 		H:          h,
 		Params:     params,
 		HubPartial: make(map[int32]sparse.Packed, nHubs),
-		Skeleton:   make(map[int32]sparse.Packed, nHubs),
 		LeafPPV:    make(map[int32]sparse.Packed, nLeaves),
 	}
-	ri, err := s.runTasks(tasks, workers)
+	skeleton, ri, err := s.runTasks(tasks, workers)
 	if err != nil {
 		return nil, nil, err
 	}
+	s.plans = buildHubPlans(h, skeleton)
 	info := &PrecomputeInfo{
 		Wall:           time.Since(start),
 		TotalTaskTime:  ri.taskTime,
@@ -215,8 +217,10 @@ type runInfo struct {
 // runTasks executes independent pre-computation tasks on a bounded
 // worker pool, each worker reusing one ppr.Scratch across its tasks and
 // staging results privately; the section maps are written once, here,
-// after the pool drains. On error the maps are left untouched.
-func (s *Store) runTasks(tasks []precomputeTask, workers int) (runInfo, error) {
+// after the pool drains. The computed skeletons are returned for the
+// caller to transpose into plan rows. On error the maps are left
+// untouched.
+func (s *Store) runTasks(tasks []precomputeTask, workers int) (map[int32]sparse.Packed, runInfo, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -268,20 +272,21 @@ func (s *Store) runTasks(tasks []precomputeTask, workers int) (runInfo, error) {
 		}
 	}
 	if firstErr != nil {
-		return ri, firstErr
+		return nil, ri, firstErr
 	}
+	skeleton := make(map[int32]sparse.Packed)
 	for i := range stages {
 		for _, v := range stages[i].hubPartial {
 			s.HubPartial[v.key] = v.vec
 		}
 		for _, v := range stages[i].skeleton {
-			s.Skeleton[v.key] = v.vec
+			skeleton[v.key] = v.vec
 		}
 		for _, v := range stages[i].leaf {
 			s.LeafPPV[v.key] = v.vec
 		}
 	}
-	return ri, nil
+	return skeleton, ri, nil
 }
 
 // computeHub produces hub t.u's adjusted partial P_h = p_h − α·x_h and
@@ -368,31 +373,14 @@ func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
 func (s *Store) tree() *hierarchy.Hierarchy { return s.H }
 func (s *Store) alpha() float64             { return s.Params.Alpha }
 
-// hubWeights walks Path(u) and builds in buf the row of owned hubs with
-// a non-zero skeleton entry (plus u itself); ownership is checked
-// first, so a shard looks up only its own hubs.
-func (s *Store) hubWeights(u int32, sh *Shard, buf *planRow) (planRow, error) {
-	buf.hubs, buf.s = buf.hubs[:0], buf.s[:0]
-	for _, node := range s.H.Path(u) {
-		for _, h := range node.Hubs {
-			if !sh.owns(h) {
-				continue
-			}
-			if x := s.Skeleton[h].Get(u); x != 0 || h == u {
-				buf.hubs = append(buf.hubs, h)
-				buf.s = append(buf.s, x)
-			}
-		}
-	}
-	return *buf, nil
-}
+func (s *Store) hubWeights(u int32) (planRow, error) { return s.plans.row(u), nil }
 
 func (s *Store) partial(h int32) (sparse.Packed, error) { return s.HubPartial[h], nil }
 func (s *Store) leaf(u int32) (sparse.Packed, error)    { return s.LeafPPV[u], nil }
 
 func (s *Store) vectorBytes(v int32) int64 {
 	if s.H.IsHub(v) {
-		return int64(sparse.EncodedSizePacked(s.HubPartial[v]) + sparse.EncodedSizePacked(s.Skeleton[v]))
+		return int64(sparse.EncodedSizePacked(s.HubPartial[v])) + s.skeletonBytes(v)
 	}
 	return int64(sparse.EncodedSizePacked(s.LeafPPV[v]))
 }
@@ -400,12 +388,18 @@ func (s *Store) vectorBytes(v int32) int64 {
 func (s *Store) acquire() error { return nil }
 func (s *Store) release()       {}
 
+// skeletonBytes is the encoded size of hub h's skeleton vector.
+func (s *Store) skeletonBytes(h int32) int64 {
+	return int64(sparse.EncodedSizeLen(int(s.plans.skelLen[h])))
+}
+
 // Truncate removes every stored entry with absolute value below min,
 // producing the paper's adapted method HGPA_ad (§6.2.9, min = 1e-4).
 // It returns the number of entries dropped.
 func (s *Store) Truncate(min float64) int {
-	dropped := 0
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+	var dropped int
+	s.plans, dropped = s.plans.truncated(min)
+	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.LeafPPV} {
 		for key, v := range m {
 			t, d := v.Truncated(min)
 			if d > 0 {
@@ -418,24 +412,21 @@ func (s *Store) Truncate(min float64) int {
 }
 
 // Clone copies the store's section maps (useful before Truncate); the
-// immutable packed vectors themselves are shared, so this is cheap even
-// for large pre-computations.
+// immutable packed vectors and plan table themselves are shared, so this
+// is cheap even for large pre-computations.
 func (s *Store) Clone() *Store {
 	c := &Store{
 		H:          s.H,
 		Params:     s.Params,
 		HubPartial: make(map[int32]sparse.Packed, len(s.HubPartial)),
-		Skeleton:   make(map[int32]sparse.Packed, len(s.Skeleton)),
 		LeafPPV:    make(map[int32]sparse.Packed, len(s.LeafPPV)),
+		plans:      s.plans,
 	}
-	// The packed vectors are immutable (Truncate swaps in new values, it
-	// never edits arrays in place), so the clone shares them: only the
-	// maps are fresh.
+	// The packed vectors and the plan table are immutable (Truncate
+	// swaps in new values, it never edits arrays in place), so the clone
+	// shares them: only the maps are fresh.
 	for k, v := range s.HubPartial {
 		c.HubPartial[k] = v
-	}
-	for k, v := range s.Skeleton {
-		c.Skeleton[k] = v
 	}
 	for k, v := range s.LeafPPV {
 		c.LeafPPV[k] = v
@@ -447,10 +438,13 @@ func (s *Store) Clone() *Store {
 // metric of §6.2.2/§6.2.4.
 func (s *Store) SpaceBytes() int64 {
 	var total int64
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.LeafPPV} {
 		for _, v := range m {
 			total += int64(sparse.EncodedSizePacked(v))
 		}
+	}
+	for h := range s.HubPartial {
+		total += s.skeletonBytes(h)
 	}
 	return total
 }
@@ -483,9 +477,7 @@ func (s *Store) Stats() Stats {
 	for _, v := range s.HubPartial {
 		st.PartialEntries += int64(v.Len())
 	}
-	for _, v := range s.Skeleton {
-		st.SkeletonEntries += int64(v.Len())
-	}
+	st.SkeletonEntries = s.plans.entries()
 	for _, v := range s.LeafPPV {
 		st.LeafEntries += int64(v.Len())
 	}

@@ -16,10 +16,14 @@ import (
 // (see internal/hierarchy's dirty-set semantics). ApplyUpdates applies
 // a batch to the shared root graph, repairs the hierarchy (hub
 // promotion for separator-crossing inserts), and recomputes ONLY the
-// dirty partials, skeletons, and leaf PPVs — the rest of the store is
-// shared structurally with the previous snapshot. LiveStore publishes
-// the result with an atomic pointer swap so in-flight queries keep
-// serving the old snapshot; a snapshot never changes once built.
+// dirty partials, skeletons, and leaf PPVs — the rest of the store's
+// vectors are shared structurally with the previous snapshot. The plan
+// table is rebuilt whole from the old table's entries for clean hubs
+// plus the recomputed skeletons: the root is dirty in every batch and
+// its hubs reach nearly every row, so there are no rows to share, but
+// the old table is never transposed back into skeletons. LiveStore
+// publishes the result with an atomic pointer swap so in-flight queries
+// keep serving the old snapshot; a snapshot never changes once built.
 
 // UpdateInfo reports the cost of one incremental update batch.
 type UpdateInfo struct {
@@ -81,6 +85,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	// Start from a structural clone: the maps are fresh (so the old
 	// snapshot is never written to), the immutable packed vectors are
 	// shared, and the clean partitions keep their entries untouched.
+	// The plan table is replaced below, never edited.
 	ns := s.Clone()
 	ns.H = upd.H
 	for _, x := range upd.Promoted {
@@ -94,7 +99,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		tasks = append(tasks, nodeTasks(upd.H, n)...)
 		n.Sub.G.BuildReverse()
 	}
-	ri, err := ns.runTasks(tasks, workers)
+	skeleton, ri, err := ns.runTasks(tasks, workers)
 	if err != nil {
 		// The shared root graph has already advanced, so the receiver
 		// can keep SERVING its snapshot but cannot absorb this batch
@@ -103,6 +108,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		// poisons itself so later batches fail loudly instead.
 		return nil, nil, fmt.Errorf("core: recompute after delta failed (store diverged from graph — rebuild required): %w", err)
 	}
+	ns.plans = s.plans.rebuild(upd.H, upd.Dirty, skeleton)
 	for _, t := range tasks {
 		info.Recomputed += t.Vectors()
 	}

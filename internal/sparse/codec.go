@@ -32,8 +32,11 @@ func EncodedSize(v Vector) int {
 			n++
 		}
 	}
-	return 4 + 12*n
+	return EncodedSizeLen(n)
 }
+
+// EncodedSizeLen returns the encoded size of a vector with n entries.
+func EncodedSizeLen(n int) int { return 4 + 12*n }
 
 // Encode serializes v into a fresh byte slice in canonical (sorted by
 // id, zeros dropped) order.
@@ -76,7 +79,7 @@ func Decode(buf []byte) (Vector, error) {
 }
 
 // EncodedSizePacked returns the number of bytes EncodePacked produces.
-func EncodedSizePacked(p Packed) int { return 4 + 12*p.Len() }
+func EncodedSizePacked(p Packed) int { return EncodedSizeLen(p.Len()) }
 
 // EncodePacked serializes a packed vector. The arrays are already in
 // canonical order, so this is a single sequential copy — no sorting, no
