@@ -62,9 +62,9 @@ func benchFixture(b *testing.B) *fixture {
 func benchQueries(g *graph.Graph, n int) []int32 { return workload.Queries(g, n, 99) }
 
 // BenchmarkHierarchyBuild regenerates Tables 2–5: hierarchical
-// partitioning with per-level hub selection. The build runs again at
-// every store load, so the larger scales track the setup cost a serving
-// process pays before its first answer.
+// partitioning with per-level hub selection. It is pprprecomp's offline
+// cost; a serving process reads the tree from the store file instead
+// (BenchmarkStoreOpen).
 func BenchmarkHierarchyBuild(b *testing.B) {
 	for _, scale := range []float64{benchScale, 1, 2} {
 		b.Run(fmt.Sprintf("web/scale=%g", scale), func(b *testing.B) {
@@ -520,6 +520,58 @@ func benchStorePath(b *testing.B) string {
 		}
 	})
 	return benchStoreFile
+}
+
+var (
+	openStoreOnce sync.Once
+	openStoreDir  string
+)
+
+// BenchmarkStoreOpen is the setup a serving process pays before its
+// first answer: opening a web×1 store (built as pprprecomp builds it)
+// into memory with LoadFile, and for disk serving with
+// OpenDiskStoreWith over mmap and over the ReadAt fallback. Both read
+// the tree from the file and check every plan row; neither partitions.
+func BenchmarkStoreOpen(b *testing.B) {
+	openStoreOnce.Do(func() {
+		g, err := gen.Dataset("web", 1, 1)
+		if err != nil {
+			panic(err)
+		}
+		s, err := core.BuildHGPA(g, hierarchy.Options{Fanout: 2, Seed: 1}, ppr.Defaults(), 0)
+		if err != nil {
+			panic(err)
+		}
+		dir, err := os.MkdirTemp("", "exactppr-bench-open")
+		if err != nil {
+			panic(err)
+		}
+		openStoreDir = dir
+		if err := core.SaveFile(dir+"/web1.store", s); err != nil {
+			panic(err)
+		}
+	})
+	path := openStoreDir + "/web1.store"
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.LoadFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, mode := range diskBenchModes {
+		b.Run("disk/"+mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ds, err := core.OpenDiskStoreWith(path, mode.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ds.Close()
+			}
+		})
+	}
 }
 
 var diskBenchModes = []struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"exactppr/internal/gen"
@@ -34,8 +35,7 @@ func buildStore(t *testing.T, g *graph.Graph, opts hierarchy.Options) *Store {
 	return s
 }
 
-// skeletonMap returns the store's skeleton vectors, hub-major, as Save
-// writes them.
+// skeletonMap returns the store's skeleton vectors, hub-major.
 func skeletonMap(t *testing.T, s *Store) map[int32]sparse.Packed {
 	t.Helper()
 	m, err := s.plans.skeletons(s.H)
@@ -43,6 +43,41 @@ func skeletonMap(t *testing.T, s *Store) map[int32]sparse.Packed {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// skeletons transposes the table back into one skeleton vector per hub
+// of h, ids ascending — the hub-major form the tests compare against.
+// Synthesized zero self entries are left out: they were never skeleton
+// entries.
+func (t planTable) skeletons(h *hierarchy.Hierarchy) (map[int32]sparse.Packed, error) {
+	ids := make([]int32, t.entries())
+	scores := make([]float64, len(ids))
+	start := make([]int, len(t.skelLen)+1)
+	for hub, c := range t.skelLen {
+		start[hub+1] = start[hub] + int(c)
+	}
+	next := slices.Clone(start)
+	for u := range len(t.off) - 1 {
+		for i := t.off[u]; i < t.off[u+1]; i++ {
+			if x := t.s[i]; x != 0 {
+				hub := t.hubs[i]
+				ids[next[hub]], scores[next[hub]] = int32(u), x
+				next[hub]++
+			}
+		}
+	}
+	out := make(map[int32]sparse.Packed, h.TotalHubs())
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			a, b := start[hub], start[hub+1]
+			v, err := sparse.PackedView(ids[a:b:b], scores[a:b:b])
+			if err != nil {
+				return nil, err
+			}
+			out[hub] = v
+		}
+	}
+	return out, nil
 }
 
 // sampleQueries picks a spread of query nodes including hubs of several

@@ -61,14 +61,14 @@ func TestClockCacheShrink(t *testing.T) {
 	var st diskCounters
 	c := newVecCache(1, 32)
 	for i := int32(0); i < 32; i++ {
-		mustLoad(t, c, &st, cacheKey{secSkeleton, i}, float64(i))
+		mustLoad(t, c, &st, cacheKey{secHubPlan, i}, float64(i))
 	}
 	c.setCap(5, &st)
 	if c.len() > 5 {
 		t.Fatalf("cache holds %d entries after shrink to 5", c.len())
 	}
 	// Still functional after the shrink.
-	mustLoad(t, c, &st, cacheKey{secSkeleton, 99}, 99)
+	mustLoad(t, c, &st, cacheKey{secHubPlan, 99}, 99)
 	if c.len() > 5 {
 		t.Fatalf("cache holds %d entries after shrink to 5", c.len())
 	}

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -30,21 +27,26 @@ import (
 //   - Transposed skeleton index. A query folds exactly one hub-plan row
 //     (leaf + Σ (h, S_u(h))·partial) instead of fetching every path
 //     hub's entire skeleton vector to read a single scalar. Store files
-//     carry the transpose as their fourth section (see plan.go).
+//     carry the skeletons only in this form, as their plan section (see
+//     plan.go); every row is checked against the file's tree at open.
 //   - Sharded coalescing cache. Decoded vectors (views, in mmap mode)
 //     live in an N-way sharded CLOCK cache with per-key singleflight, so
 //     a miss storm on a hot hub issues ONE read however many queries are
 //     in flight. See diskcache.go.
 //
-// Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache).
+// Only the graph, the hierarchy (rebuilt from the file's tree section,
+// never re-partitioned), an offset index and the per-hub skeleton entry
+// counts are always resident; vector payloads stay on disk (or in the
+// page cache).
 //
 // Queries run the same fold as the in-memory Store (fold.go), with the
 // plan row as the hub-weight source, so disk and memory answers are
 // bit-identical; SplitDisk shards it exactly as Split shards a Store.
 //
 // DiskStore is safe for concurrent queries and is read-only: it does not
-// support ApplyUpdates — rebuild and reopen to pick up new graph state.
+// support ApplyUpdates. To pick up new graph state, apply the updates to
+// a loaded Store, Save it (the file carries the updated tree), and
+// reopen.
 type DiskStore struct {
 	H      *hierarchy.Hierarchy
 	Params ppr.Params
@@ -52,7 +54,12 @@ type DiskStore struct {
 	f    *os.File
 	data []byte // mmap of the whole file; nil on the fallback path
 
-	idx [4]map[int32]span // hub partials, skeletons, leaf PPVs, hub plans
+	// vec[v] locates node v's vector payload: its partial when v is a
+	// hub, its leaf PPV otherwise. plan[v] locates v's plan row; a node
+	// with no row has a zero span. skelLen[h] counts hub h's stored
+	// skeleton entries, taken from the plan rows at open.
+	vec, plan []span
+	skelLen   []int32
 
 	// fmu guards the file AND mapping lifecycle. Queries hold it shared
 	// for their entire duration — not just across the read — because in
@@ -80,11 +87,11 @@ type cacheKey struct {
 	key     int32
 }
 
+// Section ids, in file order; they also tell cache keys apart.
 const (
 	secHubPartial = 0
-	secSkeleton   = 1
-	secLeafPPV    = 2
-	secHubPlan    = 3
+	secLeafPPV    = 1
+	secHubPlan    = 2
 )
 
 // defaultCacheCap bounds the vector cache when DiskOptions.CacheCap is
@@ -147,9 +154,9 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 }
 
 // OpenDiskStoreWith opens a store file for on-demand querying. The
-// header, graph, and hierarchy are loaded; vector payloads are indexed
-// by offset and (unless mapping is disabled or unavailable) served
-// zero-copy from a read-only memory map.
+// header, graph, and tree are loaded and the plan rows checked; vector
+// payloads are indexed by offset and (unless mapping is disabled or
+// unavailable) served zero-copy from a read-only memory map.
 func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -234,68 +241,45 @@ func (d *DiskStore) acquire() error {
 
 func (d *DiskStore) release() { d.fmu.RUnlock() }
 
-// indexStoreFile parses the header exactly as Load does, but tracks byte
-// positions so the vector payloads can be skipped and indexed. Like
-// Load, it rejects a file whose sections do not match the rebuilt
-// hierarchy.
+// indexStoreFile reads the header and tree exactly as Load does and
+// indexes the three vector sections by offset. The vector payloads are
+// skipped (only their framing is checked: a payload's length must be a
+// columnar length); the plan rows are read once, in one sequential
+// pass, and checked against the tree as Load checks them, so a fetch
+// trusts them.
 func indexStoreFile(f *os.File) (*DiskStore, error) {
-	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
-	params, opts, g, err := readStoreHeader(cr)
+	cr := newCountingReader(f)
+	params, h, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
 	}
-	h, err := hierarchy.Build(g, opts)
+	n := h.G.NumNodes()
+	ds := &DiskStore{H: h, Params: params, f: f, vec: make([]span, n), plan: make([]span, n)}
+	err = vectorSections(cr, h, func(_ int8, key, vlen int32) error {
+		if _, ok := columnarLen(vlen); !ok {
+			return fmt.Errorf("payload length %d is not a columnar length (corrupt store?)", vlen)
+		}
+		ds.vec[key] = span{off: cr.n, len: vlen}
+		return cr.skip(int64(vlen))
+	})
 	if err != nil {
 		return nil, err
 	}
-	ds := &DiskStore{H: h, Params: params, f: f}
-	for sec := range ds.idx {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
-		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt section count")
-		}
-		idx := make(map[int32]span, count)
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr)
-			if err != nil {
-				return nil, err
-			}
-			idx[key] = span{off: cr.n, len: vlen}
-			if err := cr.skip(int64(vlen)); err != nil {
-				return nil, err
-			}
-		}
-		ds.idx[sec] = idx
-	}
-	if err := checkSections(h, ds.idx[secHubPartial], ds.idx[secSkeleton], ds.idx[secLeafPPV]); err != nil {
+	rc, err := planSection(cr, h, func(u int32, off int64, vlen int32, _ []int32, _ []float64) {
+		ds.plan[u] = span{off: off, len: vlen}
+	})
+	if err != nil {
 		return nil, err
 	}
+	ds.skelLen = rc.skelLen
 	return ds, nil
 }
 
-// countingReader tracks the absolute file offset while reading through a
-// buffered reader.
-type countingReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) skip(n int64) error {
-	k, err := c.r.Discard(int(n))
-	c.n += int64(k)
-	if err == nil && int64(k) < n {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+// columnarLen returns the entry count of a columnar payload of size
+// bytes, and whether size is a columnar length at all.
+func columnarLen(size int32) (int, bool) {
+	n := (int(size) - 8) / 12
+	return n, size >= 8 && sparse.EncodedSizeColumnar(n) == int(size)
 }
 
 // fetchBufPool recycles the ReadAt buffers of the non-mmap path: a cache
@@ -331,11 +315,7 @@ func (d *DiskStore) readPayload(sp span) (buf []byte, done func(), err error) {
 // loadVector decodes one vector record. In mmap mode this is zero-copy:
 // the returned Packed is a view over the mapping.
 func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
-	sp, ok := d.idx[section][key]
-	if !ok {
-		return cval{}, fmt.Errorf("core: no vector for section %d key %d", section, key)
-	}
-	buf, done, err := d.readPayload(sp)
+	buf, done, err := d.readPayload(d.vec[key])
 	if err != nil {
 		return cval{}, err
 	}
@@ -371,14 +351,16 @@ func (d *DiskStore) columns(buf []byte) ([]int32, []float64, error) {
 	return sparse.DecodeColumnar(buf)
 }
 
-// plan returns query node u's hub-weight row, fetched and cached like
-// any other vector (a node with no path hubs simply has no row).
-func (d *DiskStore) plan(u int32) (planRow, error) {
+// row returns query node u's hub-weight row, fetched and cached like
+// any other vector (a node with no path hubs simply has no row). The
+// rows were checked against the tree at open, so a fetch only splits
+// the columns.
+func (d *DiskStore) row(u int32) (planRow, error) {
+	sp := d.plan[u]
+	if sp.len == 0 {
+		return planRow{}, nil
+	}
 	v, err := d.cache.getOrLoad(cacheKey{secHubPlan, u}, &d.stats, func() (cval, error) {
-		sp, ok := d.idx[secHubPlan][u]
-		if !ok {
-			return cval{}, nil
-		}
 		buf, done, err := d.readPayload(sp)
 		if err != nil {
 			return cval{}, err
@@ -387,12 +369,6 @@ func (d *DiskStore) plan(u int32) (planRow, error) {
 		hubs, s, err := d.columns(buf)
 		if err != nil {
 			return cval{}, fmt.Errorf("core: hub plan for %d: %w", u, err)
-		}
-		n := int32(d.H.G.NumNodes())
-		for _, h := range hubs {
-			if h < 0 || h >= n {
-				return cval{}, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", u, h)
-			}
 		}
 		return cval{plan: planRow{hubs: hubs, s: s}}, nil
 	})
@@ -426,15 +402,20 @@ func (d *DiskStore) alpha() float64             { return d.Params.Alpha }
 // hubWeights returns u's stored plan row — only its non-zero path hubs,
 // already in fold order — for every shard alike.
 func (d *DiskStore) hubWeights(u int32) (planRow, error) {
-	return d.plan(u)
+	return d.row(u)
 }
 
 func (d *DiskStore) partial(h int32) (sparse.Packed, error) { return d.fetch(secHubPartial, h) }
 func (d *DiskStore) leaf(u int32) (sparse.Packed, error)    { return d.fetch(secLeafPPV, u) }
 
+// vectorBytes counts as Store.vectorBytes does — encoded sizes, the
+// skeleton at its stored entry count — so a store's space figures are
+// the same on disk and in memory.
 func (d *DiskStore) vectorBytes(v int32) int64 {
+	entries, _ := columnarLen(d.vec[v].len)
+	size := int64(sparse.EncodedSizeLen(entries))
 	if d.H.IsHub(v) {
-		return int64(d.idx[secHubPartial][v].len) + int64(d.idx[secSkeleton][v].len)
+		size += int64(sparse.EncodedSizeLen(int(d.skelLen[v])))
 	}
-	return int64(d.idx[secLeafPPV][v].len)
+	return size
 }

@@ -16,37 +16,48 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// Store persistence. The file carries the graph (as a binary edge list),
-// the hierarchy OPTIONS (hierarchy construction is deterministic for a
-// seed, so the tree is rebuilt rather than serialized — this also sidesteps
-// the parent-pointer cycles a naive encoder would choke on), the PPR
-// parameters, and the vector sections.
+// Store persistence. The file carries the graph (as a binary edge
+// list), the hierarchy's build options and its partition tree, the PPR
+// parameters, and the vector sections — everything serving needs, so
+// neither Load nor OpenDiskStore re-runs the partitioner, and an
+// updated store (whose hub promotions depend on its delta history, not
+// on its final graph) saves and loads like a fresh one.
 //
-// The format (version 2; Save writes it, and it is the only one Load and
+// The format (version 3; Save writes it, and it is the only one Load and
 // OpenDiskStore read) is designed for zero-copy memory-mapped serving.
 // Layout, little-endian throughout:
 //
-//	magic "EXPPRST2"
+//	magic "EXPPRST3"
 //	params:    alpha, eps float64; maxIter, dangling int32
 //	hierarchy: fanout, maxLevels, minSize int32; imbalance float64; seed int64
 //	graph:     n, m int32; m × (u, v int32)
-//	4 sections (hub partials, skeletons, leaf PPVs, hub plans):
+//	tree:      k int32; k × (node id, parent index int32);
+//	           n × home index int32; n × hub flag uint8
+//	3 sections (hub partials, leaf PPVs, hub plans):
 //	           count int32; count × (key int32, payloadLen int32,
 //	           pad to 8-byte file offset, columnar payload)
 //
-// Vector payloads use the columnar layout of sparse.EncodeColumnar —
-// the 8-byte alignment of every payload is what lets a mapped DiskStore
-// alias the id/score arrays in place. The fourth section is the
-// TRANSPOSED skeleton index (see plan.go): per query node, the (hub,
-// s_u(h)) pairs its fold needs, in fold order, so a disk query never
-// reads a skeleton payload. Files of any other version ("EXPPRST1", the
-// retired interleaved-payload format) are refused with a "re-run
-// pprprecomp" error.
+// The tree section is hierarchy.Tree: nodes in pre-order with their
+// parent's index (-1 for the root), and per vertex its home node's
+// index and whether it is a hub there. Section keys are strictly
+// ascending. Vector payloads use the columnar layout of
+// sparse.EncodeColumnar — the 8-byte alignment of every payload is what
+// lets a mapped DiskStore alias the id/score arrays in place. The third
+// section holds the plan rows (see plan.go): per query node, the (hub,
+// s_u(h)) pairs its fold needs, in fold order. It is the only copy of
+// the skeletons, and every open checks each row against the tree.
+// Files of any other version ("EXPPRST1", "EXPPRST2": the formats whose
+// tree was rebuilt from the options at every open) are refused with a
+// "re-run pprprecomp" error.
 
-var storeMagic = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
+var storeMagic = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '3'}
 
 // maxVecLen bounds a single payload record (sanity for corrupt files).
 const maxVecLen = 1 << 30
+
+// headerLen is the size of the fixed fields between the magic and the
+// edge list: params, hierarchy options, n and m.
+const headerLen = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4
 
 // countingWriter tracks the absolute file offset through a buffered
 // writer so Save can pad payloads to 8-byte offsets.
@@ -61,42 +72,52 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// checkSavable rejects incrementally updated stores (graph epoch > 0):
-// the file format rebuilds the hierarchy deterministically from (graph,
-// options), which cannot reproduce an update-maintained tree — its hub
-// promotions are a function of the delta history, not of the final
-// graph. Rebuild with BuildHGPA/Precompute on the updated graph first.
-func checkSavable(s *Store) error {
-	if s.H.G.Epoch() != 0 {
-		return fmt.Errorf("core: cannot save an incrementally updated store (graph epoch %d): rebuild from the updated graph first", s.H.G.Epoch())
-	}
-	return nil
-}
+// appendStoreHeader appends everything between the magic and the
+// vector sections: parameters, options, graph and tree.
+func appendStoreHeader(b []byte, params ppr.Params, h *hierarchy.Hierarchy) []byte {
+	le := binary.LittleEndian
+	i32 := func(x int32) { b = le.AppendUint32(b, uint32(x)) }
+	f64 := func(x float64) { b = le.AppendUint64(b, math.Float64bits(x)) }
 
-// writeStoreHeader emits everything up to the vector sections.
-func writeStoreHeader(w io.Writer, params ppr.Params, opts hierarchy.Options, g *graph.Graph) {
-	writeU64 := func(x uint64) { binary.Write(w, binary.LittleEndian, x) }
-	writeI32 := func(x int32) { binary.Write(w, binary.LittleEndian, x) }
+	f64(params.Alpha)
+	f64(params.Eps)
+	i32(int32(params.MaxIter))
+	i32(int32(params.Dangling))
 
-	writeU64(math.Float64bits(params.Alpha))
-	writeU64(math.Float64bits(params.Eps))
-	writeI32(int32(params.MaxIter))
-	writeI32(int32(params.Dangling))
+	opts := h.Opts
+	i32(int32(opts.Fanout))
+	i32(int32(opts.MaxLevels))
+	i32(int32(opts.MinSize))
+	f64(opts.Imbalance)
+	b = le.AppendUint64(b, uint64(opts.Seed))
 
-	writeI32(int32(opts.Fanout))
-	writeI32(int32(opts.MaxLevels))
-	writeI32(int32(opts.MinSize))
-	writeU64(math.Float64bits(opts.Imbalance))
-	writeU64(uint64(opts.Seed))
-
-	writeI32(int32(g.NumNodes()))
-	writeI32(int32(g.NumEdges()))
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
+	g := h.G
+	i32(int32(g.NumNodes()))
+	i32(int32(g.NumEdges()))
+	for u := range int32(g.NumNodes()) {
 		for _, v := range g.Out(u) {
-			writeI32(u)
-			writeI32(v)
+			i32(u)
+			i32(v)
 		}
 	}
+
+	t := h.Tree()
+	i32(int32(len(t.IDs)))
+	for i, id := range t.IDs {
+		i32(id)
+		i32(t.Parents[i])
+	}
+	for _, x := range t.Home {
+		i32(x)
+	}
+	for _, hub := range t.Hub {
+		var flag byte
+		if hub {
+			flag = 1
+		}
+		b = append(b, flag)
+	}
+	return b
 }
 
 func sortedKeys[V any](m map[int32]V) []int32 {
@@ -108,47 +129,46 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	return keys
 }
 
-// Save writes the store to w. Keys are written sorted and plan rows are
-// in fold order, so saving the same store twice yields byte-identical
-// files.
+// Save writes the store to w, tree included, whether it is freshly
+// computed or update-maintained. Keys are written sorted and plan rows
+// are in fold order, so saving the same store twice yields
+// byte-identical files.
 func Save(w io.Writer, s *Store) error {
-	if err := checkSavable(s); err != nil {
-		return err
-	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if _, err := cw.Write(storeMagic[:]); err != nil {
+	if _, err := cw.Write(appendStoreHeader(storeMagic[:len(storeMagic):len(storeMagic)], s.Params, s.H)); err != nil {
 		return err
 	}
-	writeStoreHeader(cw, s.Params, s.H.Opts, s.H.G)
-
-	writeI32 := func(x int32) { binary.Write(cw, binary.LittleEndian, x) }
-	var zeros [8]byte
+	var meta [16]byte
+	writeI32 := func(x int32) error {
+		binary.LittleEndian.PutUint32(meta[:4], uint32(x))
+		_, err := cw.Write(meta[:4])
+		return err
+	}
 	writeRecord := func(key int32, payload []byte) error {
-		writeI32(key)
-		writeI32(int32(len(payload)))
-		if pad := int((8 - cw.n%8) % 8); pad > 0 {
-			if _, err := cw.Write(zeros[:pad]); err != nil {
-				return err
-			}
+		binary.LittleEndian.PutUint32(meta[:], uint32(key))
+		binary.LittleEndian.PutUint32(meta[4:], uint32(len(payload)))
+		pad := int((8 - (cw.n+8)%8) % 8) // meta[8:] stays zero
+		if _, err := cw.Write(meta[:8+pad]); err != nil {
+			return err
 		}
 		_, err := cw.Write(payload)
 		return err
 	}
 
-	skeleton, err := s.plans.skeletons(s.H)
-	if err != nil {
-		return err
-	}
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, skeleton, s.LeafPPV} {
-		writeI32(int32(len(section)))
+	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.LeafPPV} {
+		if err := writeI32(int32(len(section))); err != nil {
+			return err
+		}
 		for _, key := range sortedKeys(section) {
 			if err := writeRecord(key, sparse.EncodeColumnarPacked(section[key])); err != nil {
 				return err
 			}
 		}
 	}
-	writeI32(int32(s.plans.rows()))
+	if err := writeI32(int32(s.plans.rows())); err != nil {
+		return err
+	}
 	for u := range s.H.G.NumNodes() {
 		if row := s.plans.row(int32(u)); len(row.hubs) > 0 {
 			if err := writeRecord(int32(u), sparse.EncodeColumnar(row.hubs, row.s)); err != nil {
@@ -172,106 +192,198 @@ func SaveFile(path string, s *Store) error {
 	return f.Close()
 }
 
-// readStoreHeader parses the magic, parameters, hierarchy options, and
-// graph — everything before the vector sections.
-func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
+// countingReader reads a store file sequentially through a buffered
+// reader, tracking the absolute file offset (payloads are aligned to
+// it).
+type countingReader struct {
+	r   *bufio.Reader
+	n   int64
+	x32 [4]byte // readInt32's buffer, kept here so it does not escape per call
+}
+
+func newCountingReader(r io.Reader) *countingReader {
+	return &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *countingReader) skip(n int64) error {
+	k, err := c.r.Discard(int(n))
+	c.n += int64(k)
+	if err == nil && int64(k) < n {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// next reads the next n bytes into buf's storage and returns them. The
+// buffer grows at most a chunk ahead of the bytes actually read, so a
+// corrupt length in a short file fails at its end instead of first
+// allocating what the length claims.
+func (c *countingReader) next(buf []byte, n int64) ([]byte, error) {
+	const chunk = 1 << 20
+	if n < 0 {
+		return nil, fmt.Errorf("core: corrupt store length %d", n)
+	}
+	buf = buf[:0]
+	for int64(len(buf)) < n {
+		k := int(min(n-int64(len(buf)), chunk))
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(c, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+func (c *countingReader) readInt32() (int32, error) {
+	if _, err := io.ReadFull(c, c.x32[:]); err != nil {
+		return 0, err
+	}
+	return int32(binary.LittleEndian.Uint32(c.x32[:])), nil
+}
+
+// readStoreHeader parses the magic, parameters, options, graph and
+// tree — everything before the vector sections — and rebuilds the
+// hierarchy from the tree. Every array is read in bulk, and nothing is
+// sized by a count from the file until the bytes that count claims have
+// been read.
+func readStoreHeader(cr *countingReader) (params ppr.Params, h *hierarchy.Hierarchy, err error) {
 	var magic [8]byte
 	if _, err = io.ReadFull(cr, magic[:]); err != nil {
-		return params, opts, nil, err
+		return params, nil, err
 	}
 	if magic != storeMagic {
 		if bytes.HasPrefix(magic[:], storeMagic[:7]) {
-			return params, opts, nil, fmt.Errorf("core: unsupported store format %q (this build reads %q): re-run pprprecomp", magic, storeMagic)
+			return params, nil, fmt.Errorf("core: unsupported store format %q (this build reads %q): re-run pprprecomp", magic, storeMagic)
 		}
-		return params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
+		return params, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
+	}
+	b, err := cr.next(nil, headerLen)
+	if err != nil {
+		return params, nil, err
+	}
+	le := binary.LittleEndian
+	i32 := func() int32 { x := int32(le.Uint32(b)); b = b[4:]; return x }
+	f64 := func() float64 { x := math.Float64frombits(le.Uint64(b)); b = b[8:]; return x }
+
+	params.Alpha = f64()
+	params.Eps = f64()
+	params.MaxIter = int(i32())
+	params.Dangling = ppr.DanglingPolicy(i32())
+	if err := params.Validate(); err != nil {
+		return params, nil, fmt.Errorf("core: store parameters: %w (corrupt store?)", err)
 	}
 
-	readU64 := func() (x uint64, err error) {
-		err = binary.Read(cr, binary.LittleEndian, &x)
-		return
-	}
-	readI32 := func() (x int32, err error) {
-		err = binary.Read(cr, binary.LittleEndian, &x)
-		return
-	}
+	var opts hierarchy.Options
+	opts.Fanout = int(i32())
+	opts.MaxLevels = int(i32())
+	opts.MinSize = int(i32())
+	opts.Imbalance = f64()
+	opts.Seed = int64(le.Uint64(b))
+	b = b[8:]
 
-	var bits uint64
-	var x int32
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	params.Alpha = math.Float64frombits(bits)
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	params.Eps = math.Float64frombits(bits)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	params.MaxIter = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	params.Dangling = ppr.DanglingPolicy(x)
-
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.Fanout = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.MaxLevels = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.MinSize = int(x)
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	opts.Imbalance = math.Float64frombits(bits)
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	opts.Seed = int64(bits)
-
-	var n, m int32
-	if n, err = readI32(); err != nil {
-		return
-	}
-	if m, err = readI32(); err != nil {
-		return
-	}
+	n, m := i32(), i32()
 	if n < 0 || m < 0 {
-		err = fmt.Errorf("core: corrupt store header (n=%d m=%d)", n, m)
-		return
+		return params, nil, fmt.Errorf("core: corrupt store header (n=%d m=%d)", n, m)
 	}
-	b := graph.NewBuilder(int(n))
-	for e := int32(0); e < m; e++ {
-		var u, v int32
-		if u, err = readI32(); err != nil {
-			return
-		}
-		if v, err = readI32(); err != nil {
-			return
-		}
+	edges, err := cr.next(nil, 8*int64(m))
+	if err != nil {
+		return params, nil, err
+	}
+	k, err := cr.readInt32()
+	if err != nil {
+		return params, nil, err
+	}
+	if k < 0 {
+		return params, nil, fmt.Errorf("core: corrupt tree node count %d", k)
+	}
+	tb, err := cr.next(nil, 8*int64(k)+5*int64(n))
+	if err != nil {
+		return params, nil, err
+	}
+
+	// Every count is now backed by bytes actually read.
+	gb := graph.NewBuilder(int(n))
+	for e := 0; e < len(edges); e += 8 {
+		u, v := int32(le.Uint32(edges[e:])), int32(le.Uint32(edges[e+4:]))
 		if u < 0 || u >= n || v < 0 || v >= n {
-			err = fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
-			return
+			return params, nil, fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
 		}
-		b.AddEdge(u, v)
+		gb.AddEdge(u, v)
 	}
-	g = b.Build()
-	return
+	t := hierarchy.Tree{
+		IDs:     make([]int32, k),
+		Parents: make([]int32, k),
+		Home:    make([]int32, n),
+		Hub:     make([]bool, n),
+	}
+	for i := range t.IDs {
+		t.IDs[i] = int32(le.Uint32(tb[8*i:]))
+		t.Parents[i] = int32(le.Uint32(tb[8*i+4:]))
+	}
+	tb = tb[8*k:]
+	for v := range t.Home {
+		t.Home[v] = int32(le.Uint32(tb[4*v:]))
+	}
+	for v, flag := range tb[4*n:] {
+		if flag > 1 {
+			return params, nil, fmt.Errorf("core: corrupt hub flag %d for node %d", flag, v)
+		}
+		t.Hub[v] = flag == 1
+	}
+	h, err = hierarchy.FromTree(gb.Build(), opts, t)
+	if err != nil {
+		return params, nil, fmt.Errorf("core: store tree: %w (corrupt store?)", err)
+	}
+	return params, h, nil
+}
+
+// readSection reads one section: a record count in [min, max], then
+// each record's key and payload length, with keys strictly ascending
+// and accepted by keyOK. It calls f positioned at each payload; f must
+// consume exactly vlen bytes.
+func readSection(cr *countingReader, name string, min, max int, keyOK func(int32) bool, f func(key, vlen int32) error) error {
+	count, err := cr.readInt32()
+	if err != nil {
+		return err
+	}
+	if int(count) < min || int(count) > max {
+		return fmt.Errorf("core: store's %s section has %d records, want %d to %d (corrupt store?)", name, count, min, max)
+	}
+	prev := int32(-1)
+	for range count {
+		key, vlen, err := readRecordMeta(cr)
+		if err != nil {
+			return err
+		}
+		if key <= prev || !keyOK(key) {
+			return fmt.Errorf("core: store's %s section has a record for node %d, out of order or not in the tree's %s set (corrupt store?)", name, key, name)
+		}
+		prev = key
+		if err := f(key, vlen); err != nil {
+			return fmt.Errorf("core: %s %d: %w", name, key, err)
+		}
+	}
+	return nil
 }
 
 // readRecordMeta reads one section record's (key, payload length) and
 // consumes the alignment padding, leaving the reader at the payload.
 func readRecordMeta(cr *countingReader) (key, vlen int32, err error) {
-	if err = binary.Read(cr, binary.LittleEndian, &key); err != nil {
+	if key, err = cr.readInt32(); err != nil {
 		return
 	}
-	if err = binary.Read(cr, binary.LittleEndian, &vlen); err != nil {
+	if vlen, err = cr.readInt32(); err != nil {
 		return
 	}
 	if vlen < 0 || vlen > maxVecLen {
@@ -284,78 +396,129 @@ func readRecordMeta(cr *countingReader) (key, vlen int32, err error) {
 	return
 }
 
-// Load reads a store written by Save, rebuilding the hierarchy
-// deterministically from the stored options. The skeleton section is
-// transposed into the store's plan rows and then dropped. The plan
-// section holds the same rows; it is only checked, in place, so that a
-// truncated or corrupt trailer is reported at load time, not at first
-// serve.
-func Load(r io.Reader) (*Store, error) {
-	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
-	params, opts, g, err := readStoreHeader(cr)
+// vectorSections reads the hub partial and leaf PPV sections: exactly
+// one record per hub and one per non-hub of h. f is called at each
+// payload with the record's section.
+func vectorSections(cr *countingReader, h *hierarchy.Hierarchy, f func(section int8, key, vlen int32) error) error {
+	n, hubs := h.G.NumNodes(), h.TotalHubs()
+	for _, sec := range []struct {
+		id    int8
+		name  string
+		count int
+		isHub bool
+	}{
+		{secHubPartial, "hub partial", hubs, true},
+		{secLeafPPV, "leaf", n - hubs, false},
+	} {
+		keyOK := func(key int32) bool { return key < int32(n) && h.IsHub(key) == sec.isHub }
+		if err := readSection(cr, sec.name, sec.count, sec.count, keyOK, func(key, vlen int32) error {
+			return f(sec.id, key, vlen)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// planSection reads the plan rows, checking each against h (see
+// rowChecker). f is called with each row's columns, which alias buf and
+// are valid only until f returns; the checker it returns holds each
+// hub's stored skeleton entry count.
+func planSection(cr *countingReader, h *hierarchy.Hierarchy, f func(u int32, off int64, vlen int32, hubs []int32, s []float64)) (*rowChecker, error) {
+	n := h.G.NumNodes()
+	rc := newRowChecker(h)
+	var buf []byte
+	inRange := func(key int32) bool { return key < int32(n) }
+	err := readSection(cr, "plan", h.TotalHubs(), n, inRange, func(u, vlen int32) error {
+		off := cr.n
+		var err error
+		if buf, err = cr.next(buf, int64(vlen)); err != nil {
+			return err
+		}
+		hubs, s, err := sparse.ViewColumnar(buf)
+		if err != nil {
+			return err
+		}
+		if err := rc.check(u, hubs, s); err != nil {
+			return err
+		}
+		f(u, off, vlen, hubs, s)
+		return nil
+	})
+	if err == nil {
+		err = rc.done()
+	}
+	return rc, err
+}
+
+// Load reads a store written by Save. The hierarchy comes from the
+// file's tree (its nodes' virtual subgraphs are left unextracted until
+// an update needs them), and the plan rows are read straight into the
+// store's plan table, each checked against the tree.
+func Load(r io.Reader) (*Store, error) { return load(r, -1) }
+
+// load is Load of a stream of size bytes (-1: unknown). A known size
+// bounds the plan section, the file's last, so its rows are read into
+// arrays allocated once instead of grown row by row.
+func load(r io.Reader, size int64) (*Store, error) {
+	cr := newCountingReader(r)
+	params, h, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
 	}
-	h, err := hierarchy.Build(g, opts)
-	if err != nil {
-		return nil, err
+	n, hubs := h.G.NumNodes(), h.TotalHubs()
+	s := &Store{
+		H:          h,
+		Params:     params,
+		HubPartial: make(map[int32]sparse.Packed, hubs),
+		LeafPPV:    make(map[int32]sparse.Packed, n-hubs),
 	}
-	s := &Store{H: h, Params: params}
-	var skeleton map[int32]sparse.Packed
-	sections := []*map[int32]sparse.Packed{&s.HubPartial, &skeleton, &s.LeafPPV, nil}
 	var buf []byte // one payload at a time: decoding copies out of it
-	for sec, section := range sections {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
+	err = vectorSections(cr, h, func(sec int8, key, vlen int32) error {
+		var err error
+		if buf, err = cr.next(buf, int64(vlen)); err != nil {
+			return err
 		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt section count %d", count)
+		ids, scores, err := sparse.DecodeColumnar(buf)
+		if err != nil {
+			return err
 		}
-		var mp map[int32]sparse.Packed
-		if section != nil {
-			mp = make(map[int32]sparse.Packed, count)
-			*section = mp
+		vec, err := sparse.PackedView(ids, scores)
+		if err != nil {
+			return err
 		}
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr)
-			if err != nil {
-				return nil, err
-			}
-			buf = slices.Grow(buf[:0], int(vlen))[:vlen]
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, err
-			}
-			if section == nil { // hub plans: a view over buf, checked and dropped
-				hubs, _, err := sparse.ViewColumnar(buf)
-				if err != nil {
-					return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
-				}
-				for _, hub := range hubs {
-					if hub < 0 || int(hub) >= g.NumNodes() {
-						return nil, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
-					}
-				}
-				continue
-			}
-			ids, scores, err := sparse.DecodeColumnar(buf)
-			if err != nil {
-				return nil, fmt.Errorf("core: section %d key %d: %w", sec, key, err)
-			}
-			vec, err := sparse.PackedView(ids, scores)
-			if err != nil {
-				return nil, err
-			}
-			if !vec.InRange(g.NumNodes()) {
-				return nil, fmt.Errorf("core: vector for key %d has node ids outside [0,%d) (corrupt store?)", key, g.NumNodes())
-			}
-			mp[key] = vec
+		if !vec.InRange(n) {
+			return fmt.Errorf("vector has node ids outside [0,%d) (corrupt store?)", n)
 		}
-	}
-	if err := checkSections(h, s.HubPartial, skeleton, s.LeafPPV); err != nil {
+		if sec == secHubPartial {
+			s.HubPartial[key] = vec
+		} else {
+			s.LeafPPV[key] = vec
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	s.plans = buildHubPlans(h, skeleton)
+	t := planTable{off: make([]int, n+1), hubs: []int32{}, s: []float64{}}
+	if size > cr.n {
+		// Each entry takes 12 of the bytes left, so this bounds the total.
+		entries := (size - cr.n) / 12
+		t.hubs, t.s = make([]int32, 0, entries), make([]float64, 0, entries)
+	}
+	rc, err := planSection(cr, h, func(u int32, _ int64, _ int32, hubs []int32, s []float64) {
+		t.off[u+1] = len(hubs)
+		t.hubs = append(t.hubs, hubs...)
+		t.s = append(t.s, s...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for u := range n {
+		t.off[u+1] += t.off[u]
+	}
+	t.skelLen = rc.skelLen
+	s.plans = t
 	return s, nil
 }
 
@@ -366,48 +529,13 @@ func LoadFile(path string) (*Store, error) {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := Load(f)
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	s, err := load(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// checkSections verifies a file's vector sections against the hierarchy
-// rebuilt from its header. Files store only the graph and the build
-// options, so a partitioner that no longer reproduces the writer's tree
-// (or a tampered seed) would otherwise serve hub vectors under the
-// wrong hierarchy and fold missing leaf vectors as zero. The partial
-// and skeleton keys must be exactly the rebuilt hub set and the leaf
-// keys exactly the remaining nodes; map keys are distinct, so a count
-// check plus a per-key check proves set equality.
-func checkSections[V any](h *hierarchy.Hierarchy, partial, skeleton, leaf map[int32]V) error {
-	n := h.G.NumNodes()
-	hubs := h.TotalHubs()
-	match := func(keys map[int32]V, want int, isHub bool) bool {
-		if len(keys) != want {
-			return false
-		}
-		for key := range keys {
-			if key < 0 || int(key) >= n || h.IsHub(key) != isHub {
-				return false
-			}
-		}
-		return true
-	}
-	for _, sec := range []struct {
-		name  string
-		keys  map[int32]V
-		want  int
-		isHub bool
-	}{
-		{"hub partial", partial, hubs, true},
-		{"skeleton", skeleton, hubs, true},
-		{"leaf", leaf, n - hubs, false},
-	} {
-		if !match(sec.keys, sec.want, sec.isHub) {
-			return fmt.Errorf("core: store's %s vectors do not match the hierarchy rebuilt from its header (written by a different partitioner or build?): re-run pprprecomp", sec.name)
-		}
-	}
-	return nil
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,43 +92,58 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(storeMagic[:])); err == nil {
 		t.Fatal("truncated header should fail")
 	}
+	// A teleport probability of 0, which every fold divides by.
+	s, err := BuildHGPA(testGraph(t, 41), hierarchy.Options{Seed: 1}, tightParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := saveBytes(t, s)
+	clear(file[len(storeMagic) : len(storeMagic)+8])
+	assertRefused(t, file, "alpha")
 }
 
-// TestOpenRejectsHierarchyDrift writes a store whose header seed no
-// longer rebuilds the hierarchy its vectors were computed for — what an
-// old file looks like after a partitioner change — and checks that
-// every open path refuses it instead of serving wrong answers.
+// TestOpenRejectsHierarchyDrift writes a store whose tree section is
+// another partitioning of the same graph than the one its vectors were
+// computed for, and checks that every open path refuses it instead of
+// serving wrong answers.
 func TestOpenRejectsHierarchyDrift(t *testing.T) {
 	g := testGraph(t, 40)
 	s, err := BuildHGPA(g, hierarchy.Options{Seed: 21}, tightParams(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.H.Opts.Seed = 22
-	var buf bytes.Buffer
-	if err := Save(&buf, s); err != nil {
+	other, err := hierarchy.Build(g, hierarchy.Options{Seed: 22})
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertRerunPrecomp(t, buf.Bytes())
+	drifted := s.Clone()
+	drifted.H = other
+	assertRefused(t, saveBytes(t, drifted), "corrupt store")
 }
 
-// TestOpenRejectsFormatV1: the retired interleaved-payload format is
-// refused by every open path with the same advice as hierarchy drift.
-func TestOpenRejectsFormatV1(t *testing.T) {
-	g := testGraph(t, 41)
-	var buf bytes.Buffer
-	buf.WriteString("EXPPRST1")
-	writeStoreHeader(&buf, tightParams(), hierarchy.Options{Seed: 1}, g)
-	buf.Write(make([]byte, 3*4)) // three empty sections
-	assertRerunPrecomp(t, buf.Bytes())
-}
+// TestOpenRejectsFormatV1 and TestOpenRejectsFormatV2: the retired
+// formats — v1's interleaved payloads, v2's rebuilt-at-open tree — are
+// refused by every open path with advice to re-run pprprecomp.
+func TestOpenRejectsFormatV1(t *testing.T) { assertOldFormatRefused(t, "EXPPRST1") }
+func TestOpenRejectsFormatV2(t *testing.T) { assertOldFormatRefused(t, "EXPPRST2") }
 
-// assertRerunPrecomp checks that Load and both disk open paths refuse
-// the file bytes with a "re-run pprprecomp" error.
-func assertRerunPrecomp(t *testing.T, file []byte) {
+func assertOldFormatRefused(t *testing.T, magic string) {
 	t.Helper()
-	if _, err := Load(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
-		t.Fatalf("Load: err %v, want a re-run pprprecomp error", err)
+	s, err := BuildHGPA(testGraph(t, 41), hierarchy.Options{Seed: 1}, tightParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := saveBytes(t, s)
+	copy(file, magic)
+	assertRefused(t, file, "re-run pprprecomp")
+}
+
+// assertRefused checks that Load and both disk open paths refuse the
+// file bytes with an error containing want.
+func assertRefused(t *testing.T, file []byte, want string) {
+	t.Helper()
+	if _, err := Load(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load: err %v, want one containing %q", err, want)
 	}
 	path := filepath.Join(t.TempDir(), "s.store")
 	if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -135,8 +154,109 @@ func assertRerunPrecomp(t *testing.T, file []byte) {
 		if err == nil {
 			ds.Close()
 		}
-		if err == nil || !strings.Contains(err.Error(), "re-run pprprecomp") {
-			t.Fatalf("OpenDiskStoreWith %+v: err %v, want a re-run pprprecomp error", opts, err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("OpenDiskStoreWith %+v: err %v, want one containing %q", opts, err, want)
+		}
+	}
+}
+
+// TestOpenRejectsCorruptPlanRows: Load trusts the plan rows it reads,
+// so every open path must refuse a row that breaks the fold's
+// invariants — a hub out of range or off the node's path, hubs out of
+// fold order, a hub's own entry missing — rather than fold it.
+func TestOpenRejectsCorruptPlanRows(t *testing.T) {
+	s, _ := planFixture(t)
+	h := s.H
+	var hub, deep int32 = -1, -1 // a root hub; a non-hub with ≥ 2 row entries
+	for u := range int32(h.G.NumNodes()) {
+		if hub < 0 && h.HubLevel(u) == 0 {
+			hub = u
+		}
+		if deep < 0 && !h.IsHub(u) && len(s.plans.row(u).hubs) >= 2 {
+			deep = u
+		}
+	}
+	if hub < 0 || deep < 0 {
+		t.Fatal("fixture has no root hub or no multi-entry row")
+	}
+	offPath := int32(-1) // a hub that is on no path to deep
+	for _, node := range h.Nodes() {
+		if len(node.Hubs) > 0 && !slices.Contains(h.Path(deep), node) {
+			offPath = node.Hubs[0]
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(row planRow)
+	}{
+		{"out-of-range hub", "out-of-range hub", func(row planRow) { row.hubs[0] = int32(h.G.NumNodes()) }},
+		{"hub off the path", "not a hub on the node's path", func(row planRow) { row.hubs[len(row.hubs)-1] = offPath }},
+		{"not in fold order", "not in fold order", func(row planRow) { row.hubs[0], row.hubs[1] = row.hubs[1], row.hubs[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := s.Clone()
+			bad.plans.hubs = slices.Clone(s.plans.hubs)
+			tc.edit(bad.plans.row(deep))
+			assertRefused(t, saveBytes(t, bad), tc.want)
+		})
+	}
+	t.Run("hub without its own entry", func(t *testing.T) {
+		bad := s.Clone()
+		a := s.plans.off[hub] + slices.Index(s.plans.row(hub).hubs, hub)
+		bad.plans = planTable{
+			off:  slices.Clone(s.plans.off),
+			hubs: slices.Delete(slices.Clone(s.plans.hubs), a, a+1),
+			s:    slices.Delete(slices.Clone(s.plans.s), a, a+1),
+		}
+		for v := int(hub) + 1; v < len(bad.plans.off); v++ {
+			bad.plans.off[v]--
+		}
+		assertRefused(t, saveBytes(t, bad), "corrupt store")
+	})
+}
+
+// TestLoadBoundsHeaderAllocation: a header whose counts claim far more
+// than the file holds fails at the file's end, having allocated about
+// what is there — never what the counts claim.
+func TestLoadBoundsHeaderAllocation(t *testing.T) {
+	const huge = 1<<31 - 1
+	for _, tc := range []struct {
+		name string
+		n, m int32
+	}{{"nodes", huge, 0}, {"edges", 3, huge}} {
+		file := slices.Clone(storeMagic[:])
+		file = binary.LittleEndian.AppendUint64(file, math.Float64bits(0.15))
+		file = binary.LittleEndian.AppendUint64(file, math.Float64bits(1e-4))
+		file = append(file, make([]byte, 8+28)...) // maxIter, dangling; options
+		file = binary.LittleEndian.AppendUint32(file, uint32(tc.n))
+		file = binary.LittleEndian.AppendUint32(file, uint32(tc.m))
+		file = binary.LittleEndian.AppendUint32(file, 1) // one tree node
+		path := filepath.Join(t.TempDir(), "s.store")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opens := map[string]func() error{
+			"Load": func() error { _, err := Load(bytes.NewReader(file)); return err },
+			"OpenDiskStore": func() error {
+				ds, err := OpenDiskStore(path)
+				if err == nil {
+					ds.Close()
+				}
+				return err
+			},
+		}
+		for name, open := range opens {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := open()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s %s: a %d-byte file claiming n=%d m=%d opened", tc.name, name, len(file), tc.n, tc.m)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+				t.Fatalf("%s %s: allocated %d bytes for a %d-byte file", tc.name, name, got, len(file))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"exactppr/internal/hierarchy"
@@ -11,14 +12,15 @@ import (
 //
 // The serving identity folds, for query node u, the term
 // (S_u(h)/α)·P_h + S_u(h)·x_h for every hub h on Path(u), where
-// S_u(h) = s_u(h) − α·f_u(h) comes from the skeleton section. Stored
+// S_u(h) = s_u(h) − α·f_u(h) comes from hub h's skeleton vector. Stored
 // row-major (one vector per hub), answering that needs the ENTIRE
 // skeleton vector of every path hub just to read one scalar. The
 // transpose stores, per query node u, exactly the non-zero (h, s_u(h))
 // pairs it will fold, so a query's hub-weight work is proportional to
-// its answer: one row, no per-hub lookups. The in-memory Store holds
-// its skeletons only in this form; Save writes the rows as the store
-// file's fourth section, which DiskStore folds straight from the file.
+// its answer: one row, no per-hub lookups. The skeletons exist only in
+// this form, in memory and on disk: Save writes the rows as the store
+// file's plan section, Load reads them straight back into a table, and
+// DiskStore folds them from the file.
 //
 // Ordering is load-bearing: floating-point accumulation must visit hubs
 // in exactly the order of Path(u) root→home, then node.Hubs order — or
@@ -188,36 +190,78 @@ func (t *planTable) countSkeletons() {
 	}
 }
 
-// skeletons transposes the table back into one skeleton vector per hub
-// of h, ids ascending — the store file's skeleton section. Synthesized
-// zero self entries are left out: they were never skeleton entries.
-func (t planTable) skeletons(h *hierarchy.Hierarchy) (map[int32]sparse.Packed, error) {
-	ids := make([]int32, t.entries())
-	scores := make([]float64, len(ids))
-	start := make([]int, len(t.skelLen)+1)
-	for hub, c := range t.skelLen {
-		start[hub+1] = start[hub] + int(c)
-	}
-	next := slices.Clone(start)
-	for u := range len(t.off) - 1 {
-		for i := t.off[u]; i < t.off[u+1]; i++ {
-			if x := t.s[i]; x != 0 {
-				hub := t.hubs[i]
-				ids[next[hub]], scores[next[hub]] = int32(u), x
-				next[hub]++
-			}
-		}
-	}
-	out := make(map[int32]sparse.Packed, h.TotalHubs())
+// rowChecker checks plan rows read from a store file against the
+// file's tree. A loaded store folds its rows as they are instead of
+// deriving them from skeleton vectors, so a corrupt row must fail the
+// open, never fold silently wrong. It counts each hub's stored skeleton
+// entries (skelLen) on the way.
+type rowChecker struct {
+	h *hierarchy.Hierarchy
+	// rank[hub] is the hub's index within its home node's Hubs: with the
+	// home level, its position in fold order.
+	rank    []int32
+	path    []*hierarchy.Node // the current row's Path, indexed by level
+	skelLen []int32
+	hubRows int // rows of hubs, each holding its own hub
+}
+
+func newRowChecker(h *hierarchy.Hierarchy) *rowChecker {
+	n := h.G.NumNodes()
+	rc := &rowChecker{h: h, rank: make([]int32, n), skelLen: make([]int32, n)}
 	for _, node := range h.Nodes() {
-		for _, hub := range node.Hubs {
-			a, b := start[hub], start[hub+1]
-			v, err := sparse.PackedView(ids[a:b:b], scores[a:b:b])
-			if err != nil {
-				return nil, err
-			}
-			out[hub] = v
+		for i, hub := range node.Hubs {
+			rc.rank[hub] = int32(i)
 		}
 	}
-	return out, nil
+	return rc
+}
+
+// check verifies u's row: it is not empty, every hub is in range and on
+// Path(u), fold rank (home level, then index within node.Hubs) strictly
+// increases, and a hub's own row holds the hub.
+func (rc *rowChecker) check(u int32, hubs []int32, s []float64) error {
+	h := rc.h
+	if len(hubs) == 0 {
+		return fmt.Errorf("empty plan row (corrupt store?)")
+	}
+	home := h.Home(u)
+	rc.path = slices.Grow(rc.path[:0], home.Level+1)[:home.Level+1]
+	for node := home; node != nil; node = node.Parent {
+		rc.path[node.Level] = node
+	}
+	n := int32(h.G.NumNodes())
+	lastLevel, lastRank := -1, int32(-1)
+	self := false
+	for i, hub := range hubs {
+		if hub < 0 || hub >= n {
+			return fmt.Errorf("plan row references out-of-range hub %d (corrupt store?)", hub)
+		}
+		level := h.HubLevel(hub)
+		if level < 0 || level >= len(rc.path) || rc.path[level] != h.Home(hub) {
+			return fmt.Errorf("plan row references %d, which is not a hub on the node's path (corrupt store?)", hub)
+		}
+		if level < lastLevel || level == lastLevel && rc.rank[hub] <= lastRank {
+			return fmt.Errorf("plan row is not in fold order at hub %d (corrupt store?)", hub)
+		}
+		lastLevel, lastRank = level, rc.rank[hub]
+		self = self || hub == u
+		if s[i] != 0 {
+			rc.skelLen[hub]++
+		}
+	}
+	if h.IsHub(u) {
+		if !self {
+			return fmt.Errorf("hub's plan row lacks its own entry (corrupt store?)")
+		}
+		rc.hubRows++
+	}
+	return nil
+}
+
+// done checks, after the last row, that every hub had a row.
+func (rc *rowChecker) done() error {
+	if hubs := rc.h.TotalHubs(); rc.hubRows != hubs {
+		return fmt.Errorf("core: store has plan rows for %d of its %d hubs (corrupt store?)", rc.hubRows, hubs)
+	}
+	return nil
 }

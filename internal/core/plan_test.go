@@ -86,7 +86,7 @@ func TestStorePlanRowsMatchDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			for u := range int32(reopened.H.G.NumNodes()) {
-				want, err := ds.plan(u)
+				want, err := ds.row(u)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,4 +190,51 @@ func TestStoreSpaceAccounting(t *testing.T) {
 		Bytes: 72744, Levels: 4, LeafSubgraphs: 7, TotalNodes: 13, GraphNodes: 120,
 		GraphEdges: 426, TotalTreeHub: 63,
 	}, map[int][]int64{3: {25732, 23180, 23832}})
+}
+
+// TestShardSpaceSameOnDisk: a shard's SpaceBytes is the same whether
+// it serves from memory, from a loaded copy, or from the file over mmap
+// or the ReadAt fallback, at 1, 2 and 3 shards — for a fresh, a
+// truncated and an updated store.
+func TestShardSpaceSameOnDisk(t *testing.T) {
+	fresh, truncated := planFixture(t)
+	var updated *Store
+	updateSnapshots(t, func(_ int, s *Store, _ *UpdateInfo) { updated = s })
+	for name, s := range map[string]*Store{"fresh": fresh, "truncate0.2": truncated, "updated": updated} {
+		path := filepath.Join(t.TempDir(), "s.store")
+		if err := SaveFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nshards := 1; nshards <= 3; nshards++ {
+			want, err := Split(s, nshards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string][]*Shard{}
+			if got["loaded"], err = Split(loaded, nshards); err != nil {
+				t.Fatal(err)
+			}
+			for mode, opts := range map[string]DiskOptions{"mmap": {}, "fallback": {DisableMmap: true}} {
+				ds, err := OpenDiskStoreWith(path, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
+				if got[mode], err = SplitDisk(ds, nshards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for mode, shards := range got {
+				for i, sh := range shards {
+					if a, b := sh.SpaceBytes(), want[i].SpaceBytes(); a != b {
+						t.Fatalf("%s %s: shard %d/%d SpaceBytes %d, memory %d", name, mode, i, nshards, a, b)
+					}
+				}
+			}
+		}
+	}
 }

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"exactppr/internal/graph"
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/ppr"
 	"exactppr/internal/sparse"
@@ -110,6 +111,9 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 	}
 	var tasks []precomputeTask
 	for _, n := range h.Nodes() {
+		if n.Sub == nil { // a tree read from a store file
+			n.Sub = graph.VirtualSubgraph(h.G, n.Members)
+		}
 		tasks = append(tasks, nodeTasks(h, n)...)
 		n.Sub.G.BuildReverse() // safe to pre-build; used by skeletons
 	}

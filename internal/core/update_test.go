@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -174,21 +177,78 @@ func TestApplyUpdatesShardsStayExact(t *testing.T) {
 	}
 }
 
-// TestSaveRejectsUpdatedStore: persisting an update-maintained store
-// would silently load back wrong (the format re-partitions the graph,
-// losing promotions), so Save must refuse it loudly.
-func TestSaveRejectsUpdatedStore(t *testing.T) {
-	g := updateGraph(t, 55)
-	s, err := BuildHGPA(g, hierarchy.Options{Seed: 57}, ppr.Params{Alpha: 0.15, Eps: 1e-6}, 2)
+// TestSaveLoadUpdatedStore: an update-maintained store saves and loads
+// like a fresh one — the file carries the promoted tree, so nothing is
+// re-partitioned. After each of 12 seeded batches (hub promotions, some
+// unlinking tree nodes) the reloaded store has the live snapshot's tree,
+// plan table and space figures, answers every node bit for bit, saves
+// back to the same bytes, and absorbs the next batch exactly as the live
+// snapshot does.
+func TestSaveLoadUpdatedStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	live, err := BuildHGPA(updateGraph(t, 29), hierarchy.Options{Seed: 37, MinSize: 2}, updateParams(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, _, err := s.ApplyUpdates(graph.Delta{Insert: [][2]int32{{0, 100}}}, 2)
-	if err != nil {
-		t.Fatal(err)
+	var loaded *Store
+	promoted, gaps := 0, false
+	for batch := range 12 {
+		d := randomDelta(rng, live.H.G, 6)
+		ns, info, err := live.ApplyUpdates(d, 2)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		live = ns
+		promoted += info.Promoted
+		if loaded != nil {
+			next, _, err := loaded.ApplyUpdates(d, 2)
+			if err != nil {
+				t.Fatalf("batch %d on the loaded store: %v", batch, err)
+			}
+			assertSameStore(t, fmt.Sprintf("batch %d applied to the loaded store", batch), next, live)
+		}
+		file := saveBytes(t, live)
+		if loaded, err = Load(bytes.NewReader(file)); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		assertSameStore(t, fmt.Sprintf("batch %d reloaded", batch), loaded, live)
+		if !bytes.Equal(saveBytes(t, loaded), file) {
+			t.Fatalf("batch %d: Save(Load(f)) differs from f", batch)
+		}
+		for i, node := range live.H.Nodes() {
+			gaps = gaps || node.ID != i
+		}
 	}
-	if err := SaveFile(t.TempDir()+"/x.store", ns); err == nil {
-		t.Fatal("Save must reject an incrementally updated store")
+	if promoted == 0 || !gaps {
+		t.Fatalf("the batches promoted %d hubs and unlinked nodes: %v; want both", promoted, gaps)
+	}
+}
+
+// assertSameStore checks that got is want bit for bit: tree, plan
+// table, space figures, and every node's answer.
+func assertSameStore(t *testing.T, name string, got, want *Store) {
+	t.Helper()
+	if !reflect.DeepEqual(got.H.Tree(), want.H.Tree()) {
+		t.Fatalf("%s: tree differs", name)
+	}
+	if !reflect.DeepEqual(got.plans, want.plans) {
+		t.Fatalf("%s: plan table differs", name)
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: Stats %+v, want %+v", name, got.Stats(), want.Stats())
+	}
+	for u := range int32(want.H.G.NumNodes()) {
+		a, err := got.QueryPacked(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := want.QueryPacked(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: u=%d answers differ", name, u)
+		}
 	}
 }
 

@@ -173,9 +173,16 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 	return n, nil
 }
 
-// maySplit applies the cheap stopping rules: level cap and size floor.
+// MaxDepth bounds the number of levels of any hierarchy: Build never
+// splits a node at level MaxDepth−1, and FromTree refuses a deeper
+// tree. A balanced partitioner halves the members per level, so real
+// trees stay far shallower; the bound keeps a corrupt tree from
+// claiming members quadratic in its size.
+const MaxDepth = 128
+
+// maySplit applies the cheap stopping rules: level caps and size floor.
 func (h *Hierarchy) maySplit(n *Node) bool {
-	if h.Opts.MaxLevels > 0 && n.Level >= h.Opts.MaxLevels {
+	if h.Opts.MaxLevels > 0 && n.Level >= h.Opts.MaxLevels || n.Level >= MaxDepth-1 {
 		return false
 	}
 	return len(n.Members) > h.Opts.MinSize

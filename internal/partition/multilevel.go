@@ -206,9 +206,9 @@ func initialBisection(g *ugraph, targetW int64, maxW int64, rng *rand.Rand) []in
 //
 // Candidates come from one gain-ordered heap per side, so a move costs
 // O(log n) plus its degree rather than a scan of all n vertices. The
-// heaps pick exactly the vertex the scan would, which matters beyond
-// speed: store files rebuild the hierarchy at load and rely on it
-// being identical (see fmRefineScan in the tests).
+// heaps pick exactly the vertex the scan would (see fmRefineScan in the
+// tests), so the partitions, and with them pprprecomp's output, are the
+// ones the scan made.
 func fmRefine(g *ugraph, side []int8, minW, maxW int64) {
 	n := g.numNodes()
 	w := [2]int64{}
