@@ -8,6 +8,8 @@ package exactppr
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -168,6 +170,29 @@ func BenchmarkHGPAQueryMachines(b *testing.B) {
 			// Figure 13's communication metric rides along.
 			b.ReportMetric(float64(bytes)/float64(b.N)/1024, "KB/query")
 		})
+	}
+}
+
+// BenchmarkGateway is one whole in-process request: the gateway handler
+// over a two-machine local cluster answering GET /ppv/{u}?topk=10
+// through httptest — routing, fan-out, fold, merge, top-k and the JSON
+// body, with no socket in between.
+func BenchmarkGateway(b *testing.B) {
+	f := benchFixture(b)
+	coord, err := cluster.NewLocalCluster(f.store, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := cluster.NewGateway(coord).Handler()
+	qs := benchQueries(f.g, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/ppv/%d?topk=10", qs[i%len(qs)]), nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -4,7 +4,10 @@
 // sparse vector, and the coordinator sums them. That single round trip
 // per machine is the paper's headline communication property, and this
 // package accounts the bytes of every response so the communication-cost
-// experiments (Figures 13, 22, 28) measure real encoded payloads.
+// experiments (Figures 13, 22, 28) measure encoded payload sizes: a TCP
+// share is counted as the bytes received, an in-process share as the
+// size its wire encoding would have (sparse.EncodedSizePacked), which is
+// the same number.
 //
 // The serving layer is fully concurrent: the one-round protocol is
 // embarrassingly parallel across queries, so the TCP transport
@@ -14,11 +17,14 @@
 // calls with per-query context cancellation. An HTTP/JSON gateway
 // (gateway.go) exposes the whole thing to ordinary web clients.
 //
-// Two transports are provided: in-process machines (goroutines over
-// shards — used by benchmarks, zero network noise) and TCP machines
-// (length-prefixed multiplexed frames over real sockets — used by the
-// distributed example and integration tests). Both speak through the
-// Machine interface, so the Coordinator is transport-agnostic.
+// Two transports are provided: in-process machines (shards in this
+// process — used by benchmarks and the single-host gateway, zero
+// network noise) and TCP machines (length-prefixed multiplexed frames
+// over real sockets — used by the distributed example and integration
+// tests). Both speak through the Machine interface, so the Coordinator
+// is transport-agnostic. In-process machines also hand their share over
+// as the sparse.Packed it was drained into (packedMachine), so they skip
+// the encode and decode only a wire needs.
 package cluster
 
 import (
@@ -33,10 +39,13 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// Machine answers PPV queries with this machine's additive share.
-// Implementations must be safe for concurrent calls; a call must honor
-// context cancellation at least on the transport level (an in-process
-// machine may finish small computations instead of polling the context).
+// Machine answers PPV queries with this machine's additive share, in
+// the sparse wire encoding. Implementations must be safe for concurrent
+// calls; a call must honor context cancellation at least on the
+// transport level (an in-process machine may finish small computations
+// instead of polling the context). The in-process machines also
+// implement packedMachine, which the Coordinator and the TCP Server
+// prefer: their QueryShare is an encode of that packed share.
 type Machine interface {
 	// QueryShare returns the machine's share of the PPV of u, encoded in
 	// the sparse wire format, plus the machine-local compute time.
@@ -67,6 +76,15 @@ type UpdateStats struct {
 	Wall time.Duration
 }
 
+// packedMachine is implemented by the in-process machines: they hand
+// their share over as the sparse.Packed it was drained into, so the
+// coordinator skips the encode and decode that only a wire needs, and a
+// TCP Server encodes it straight into its response frame.
+type packedMachine interface {
+	queryPacked(ctx context.Context, u int32) (sparse.Packed, time.Duration, error)
+	querySetPacked(ctx context.Context, p core.Preference) (sparse.Packed, time.Duration, error)
+}
+
 // ShardMachine is an in-process Machine over a core.Shard of either
 // backend (an in-memory Store or a DiskStore).
 type ShardMachine struct {
@@ -75,29 +93,87 @@ type ShardMachine struct {
 
 // QueryShare implements Machine.
 func (m *ShardMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.Shard.QueryPacked(u) })
+	return encoded(m.queryPacked(ctx, u))
 }
 
 // QuerySetShare implements Machine for preference sets.
 func (m *ShardMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.Shard.QuerySetPacked(p) })
+	return encoded(m.querySetPacked(ctx, p))
 }
 
-// share runs one in-process share computation and encodes its result.
-// The share is encoded even in-process so byte accounting matches what
-// a network transport would carry; the packed (sorted) drain makes that
-// a straight sequential copy — no map iteration on the worker's hot
-// path.
-func share(ctx context.Context, compute func() (sparse.Packed, error)) ([]byte, time.Duration, error) {
+func (m *ShardMachine) queryPacked(ctx context.Context, u int32) (sparse.Packed, time.Duration, error) {
+	return queryShard(ctx, m.Shard, u)
+}
+
+func (m *ShardMachine) querySetPacked(ctx context.Context, p core.Preference) (sparse.Packed, time.Duration, error) {
+	return querySetShard(ctx, m.Shard, p)
+}
+
+// queryShard computes sh's share of the PPV of u and times it.
+func queryShard(ctx context.Context, sh *core.Shard, u int32) (sparse.Packed, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return sparse.Packed{}, 0, err
 	}
 	start := time.Now()
-	v, err := compute()
+	v, err := sh.QueryPacked(u)
+	return v, time.Since(start), err
+}
+
+// querySetShard is queryShard for a preference set.
+func querySetShard(ctx context.Context, sh *core.Shard, p core.Preference) (sparse.Packed, time.Duration, error) {
+	if err := ctx.Err(); err != nil {
+		return sparse.Packed{}, 0, err
+	}
+	start := time.Now()
+	v, err := sh.QuerySetPacked(p)
+	return v, time.Since(start), err
+}
+
+// encoded turns an in-process share into QueryShare's wire bytes.
+func encoded(v sparse.Packed, compute time.Duration, err error) ([]byte, time.Duration, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return sparse.EncodePacked(v), compute, nil
+}
+
+// shareReply is one machine's answer to one query.
+type shareReply struct {
+	share   sparse.Packed
+	bytes   int64 // the share's wire size: the paper's communication cost
+	compute time.Duration
+	err     error
+}
+
+// ask asks m for its share of u's PPV, or of the preference set when
+// set is non-nil. An in-process machine hands the share over packed and
+// its bytes are the size its encoding would have; any other machine's
+// payload is decoded, so both count the same bytes.
+func ask(ctx context.Context, m Machine, u int32, set *core.Preference) shareReply {
+	var r shareReply
+	if pm, ok := m.(packedMachine); ok {
+		if set == nil {
+			r.share, r.compute, r.err = pm.queryPacked(ctx, u)
+		} else {
+			r.share, r.compute, r.err = pm.querySetPacked(ctx, *set)
+		}
+		r.bytes = int64(sparse.EncodedSizePacked(r.share))
+		return r
+	}
+	var payload []byte
+	if set == nil {
+		payload, r.compute, r.err = m.QueryShare(ctx, u)
+	} else {
+		payload, r.compute, r.err = m.QuerySetShare(ctx, *set)
+	}
+	if r.err != nil {
+		return r
+	}
+	if r.share, r.err = sparse.DecodePacked(payload); r.err != nil {
+		r.err = fmt.Errorf("payload: %w", r.err)
+	}
+	r.bytes = int64(len(payload))
+	return r
 }
 
 // QueryStats reports one distributed query.
@@ -107,8 +183,9 @@ type QueryStats struct {
 	// map is ever built on the serving path. Call Result.Unpack() for a
 	// mutable map Vector.
 	Result sparse.Packed
-	// BytesReceived is the total payload the coordinator received — the
-	// paper's communication-cost metric.
+	// BytesReceived is the total encoded size of the shares — the
+	// paper's communication-cost metric: the payload bytes received from
+	// TCP machines, the encoded size of in-process shares.
 	BytesReceived int64
 	// MachineTime holds each machine's compute time; the paper reports
 	// the maximum as the query runtime (§6.2.2).
@@ -182,9 +259,7 @@ func (c *Coordinator) Query(u int32) (*QueryStats, error) {
 // fan-out is abandoned (in-flight worker calls are cancelled) and the
 // context error is returned.
 func (c *Coordinator) QueryCtx(ctx context.Context, u int32) (*QueryStats, error) {
-	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
-		return m.QueryShare(ctx, u)
-	})
+	return c.fanOut(ctx, u, nil)
 }
 
 // QuerySet runs the one-round protocol for a preference node set: each
@@ -196,16 +271,17 @@ func (c *Coordinator) QuerySet(p core.Preference) (*QueryStats, error) {
 
 // QuerySetCtx is QuerySet with per-query cancellation.
 func (c *Coordinator) QuerySetCtx(ctx context.Context, p core.Preference) (*QueryStats, error) {
-	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
-		return m.QuerySetShare(ctx, p)
-	})
+	return c.fanOut(ctx, 0, &p)
 }
 
-// fanOut implements the one-round protocol: call every machine once,
-// concurrently, and sum the decoded shares. The first failure cancels
-// the remaining calls and is reported with its machine index, so a
-// worker dying mid-flight surfaces as one clean error instead of a hang.
-func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Machine) ([]byte, time.Duration, error)) (*QueryStats, error) {
+// fanOut implements the one-round protocol: ask every machine once,
+// concurrently, and sum the shares. Machine 0 runs on the caller's
+// goroutine, whose stack has already grown, so only machines 1..n−1
+// get a goroutine each and a one-machine cluster starts none. The first
+// failure cancels the remaining calls and is reported with its machine
+// index, so a worker dying mid-flight surfaces as one clean error
+// instead of a hang.
+func (c *Coordinator) fanOut(ctx context.Context, u int32, set *core.Preference) (*QueryStats, error) {
 	start := time.Now()
 	if c.Timeout > 0 {
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
@@ -214,34 +290,38 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 			defer cancel()
 		}
 	}
+	replies := make([]shareReply, len(c.machines))
+	if len(c.machines) == 1 {
+		replies[0] = ask(ctx, c.machines[0], u, set)
+		return sum(replies, start)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type reply struct {
-		payload []byte
-		compute time.Duration
-		err     error
+	run := func(i int) {
+		replies[i] = ask(ctx, c.machines[i], u, set)
+		if replies[i].err != nil {
+			cancel() // release the other machines early
+		}
 	}
-	replies := make([]reply, len(c.machines))
 	var wg sync.WaitGroup
-	wg.Add(len(c.machines))
-	for i, m := range c.machines {
-		go func(i int, m Machine) {
+	wg.Add(len(c.machines) - 1)
+	for i := 1; i < len(c.machines); i++ {
+		go func() {
 			defer wg.Done()
-			payload, compute, err := call(ctx, m)
-			replies[i] = reply{payload, compute, err}
-			if err != nil {
-				cancel() // release the other machines early
-			}
-		}(i, m)
+			run(i)
+		}()
 	}
+	run(0)
 	wg.Wait()
+	return sum(replies, start)
+}
 
-	stats := &QueryStats{
-		MachineTime: make([]time.Duration, len(c.machines)),
-	}
-	// Report the most informative error: a machine failure beats the
-	// context cancellation it triggered on its siblings.
+// sum is the coordinator's "sum the shares": the k sorted share streams
+// merge in one pass — no maps, no per-entry hashing, however many
+// machines answered. A failed reply fails the query instead; the most
+// informative error wins, so a machine failure beats the context
+// cancellation it triggered on its siblings.
+func sum(replies []shareReply, start time.Time) (*QueryStats, error) {
 	var firstErr error
 	for i, rp := range replies {
 		if rp.err != nil {
@@ -254,18 +334,12 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// "Sum the shares": every payload decodes straight into columnar
-	// form, and the k sorted streams merge in one pass — no maps, no
-	// per-entry hashing, however many machines answered.
-	parts := make([]sparse.Packed, len(c.machines))
+	stats := &QueryStats{MachineTime: make([]time.Duration, len(replies))}
+	parts := make([]sparse.Packed, len(replies))
 	for i, rp := range replies {
-		v, err := sparse.DecodePacked(rp.payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: machine %d payload: %w", i, err)
-		}
-		stats.BytesReceived += int64(len(rp.payload))
+		stats.BytesReceived += rp.bytes
 		stats.MachineTime[i] = rp.compute
-		parts[i] = v
+		parts[i] = rp.share
 	}
 	stats.Result = sparse.MergePacked(parts)
 	stats.Wall = time.Since(start)
@@ -340,27 +414,13 @@ func isCancel(err error) bool {
 // when the simulation host has fewer cores than simulated machines.
 func (c *Coordinator) QuerySequential(u int32) (*QueryStats, error) {
 	start := time.Now()
-	ctx := context.Background()
-	stats := &QueryStats{
-		MachineTime: make([]time.Duration, len(c.machines)),
-	}
-	parts := make([]sparse.Packed, len(c.machines))
+	replies := make([]shareReply, len(c.machines))
 	for i, m := range c.machines {
-		payload, compute, err := m.QueryShare(ctx, u)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
+		if replies[i] = ask(context.Background(), m, u, nil); replies[i].err != nil {
+			break
 		}
-		v, err := sparse.DecodePacked(payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: machine %d payload: %w", i, err)
-		}
-		stats.BytesReceived += int64(len(payload))
-		stats.MachineTime[i] = compute
-		parts[i] = v
 	}
-	stats.Result = sparse.MergePacked(parts)
-	stats.Wall = time.Since(start)
-	return stats, nil
+	return sum(replies, start)
 }
 
 // NewLocalCluster shards a store across n in-process machines and returns

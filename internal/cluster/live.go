@@ -52,12 +52,20 @@ func (m *LiveShard) refresh(s *core.Store) error {
 
 // QueryShare implements Machine.
 func (m *LiveShard) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.shard.Load().QueryPacked(u) })
+	return encoded(m.queryPacked(ctx, u))
 }
 
 // QuerySetShare implements Machine.
 func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.shard.Load().QuerySetPacked(p) })
+	return encoded(m.querySetPacked(ctx, p))
+}
+
+func (m *LiveShard) queryPacked(ctx context.Context, u int32) (sparse.Packed, time.Duration, error) {
+	return queryShard(ctx, m.shard.Load(), u)
+}
+
+func (m *LiveShard) querySetPacked(ctx context.Context, p core.Preference) (sparse.Packed, time.Duration, error) {
+	return querySetShard(ctx, m.shard.Load(), p)
 }
 
 // ApplyUpdates implements Updater. The batch recompute runs to

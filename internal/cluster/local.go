@@ -17,12 +17,20 @@ type LocalMachine struct {
 
 // QueryShare implements Machine.
 func (m *LocalMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.Backend.QueryPacked(u) })
+	return encoded(m.queryPacked(ctx, u))
 }
 
 // QuerySetShare implements Machine for preference sets.
 func (m *LocalMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	return share(ctx, func() (sparse.Packed, error) { return m.Backend.QuerySetPacked(p) })
+	return encoded(m.querySetPacked(ctx, p))
+}
+
+func (m *LocalMachine) queryPacked(ctx context.Context, u int32) (sparse.Packed, time.Duration, error) {
+	return queryShard(ctx, m.Backend, u)
+}
+
+func (m *LocalMachine) querySetPacked(ctx context.Context, p core.Preference) (sparse.Packed, time.Duration, error) {
+	return querySetShard(ctx, m.Backend, p)
 }
 
 // DiskCluster is a Coordinator over in-process disk shards: the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -64,21 +65,27 @@ func dialMachineCtx(ctx context.Context, addr string) (*TCPMachine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newTCPMachine(conn), nil
+}
+
+// newTCPMachine starts the demux loop over an established connection.
+func newTCPMachine(conn net.Conn) *TCPMachine {
 	t := &TCPMachine{
 		conn:    conn,
 		pending: make(map[uint64]chan muxReply),
 		done:    make(chan struct{}),
 	}
 	go t.readLoop()
-	return t, nil
+	return t
 }
 
 // readLoop is the single reader: it demuxes every response frame to the
 // caller registered under its request id. Responses for ids nobody is
 // waiting on (caller gave up via context) are discarded.
 func (t *TCPMachine) readLoop() {
+	r := bufio.NewReader(t.conn)
 	for {
-		op, id, payload, err := readFrame(t.conn)
+		op, id, payload, err := readFrame(r)
 		if err != nil {
 			t.fail(err)
 			return

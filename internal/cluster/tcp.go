@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,6 +14,7 @@ import (
 
 	"exactppr/internal/core"
 	"exactppr/internal/graph"
+	"exactppr/internal/sparse"
 )
 
 // The TCP wire protocol, deliberately minimal (stdlib only, no RPC
@@ -54,14 +56,24 @@ const maxFrame = 1 << 28 // 256 MiB guard against corrupt lengths
 
 const frameHeaderSize = 1 + 8 + 4
 
+// appendFrameHeader appends the header of a frame whose payload is n
+// bytes long.
+func appendFrameHeader(dst []byte, op byte, id uint64, n int) []byte {
+	dst = append(dst, op)
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// newFrame returns one whole frame, header and payload.
+func newFrame(op byte, id uint64, payload []byte) []byte {
+	frame := appendFrameHeader(make([]byte, 0, frameHeaderSize+len(payload)), op, id, len(payload))
+	return append(frame, payload...)
+}
+
+// writeFrame writes one frame with a single Write, so header and
+// payload never go out as separate segments.
 func writeFrame(w io.Writer, op byte, id uint64, payload []byte) error {
-	hdr := [frameHeaderSize]byte{op}
-	binary.LittleEndian.PutUint64(hdr[1:], id)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(newFrame(op, id, payload))
 	return err
 }
 
@@ -127,6 +139,7 @@ func Serve(l net.Listener, m Machine) error {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	r := bufio.NewReader(conn)
 	limit := s.MaxInFlight
 	if limit <= 0 {
 		limit = DefaultMaxInFlight
@@ -140,7 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer wg.Wait()
 	defer cancel()
 	for {
-		op, id, payload, err := readFrame(conn)
+		op, id, payload, err := readFrame(r)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
@@ -160,54 +173,56 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle executes one query frame and writes the response. Per-query
-// failures (bad node, malformed preference) answer opError and keep the
-// connection streaming; only transport errors tear it down, and then the
-// reader loop notices on its next read.
+// handle executes one request frame and writes the response frame.
+// Per-query failures (bad node, malformed preference) answer opError
+// and keep the connection streaming; only transport errors tear it
+// down, and then the reader loop notices on its next read.
 func (s *Server) handle(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, id uint64, payload []byte) {
-	var (
-		respOp  byte = opShare
-		resp    []byte
-		share   []byte
-		compute time.Duration
-		err     error
-	)
-	switch op {
-	case opQuery:
-		if len(payload) != 4 {
-			err = fmt.Errorf("malformed query frame")
-			break
-		}
-		u := int32(binary.LittleEndian.Uint32(payload))
-		share, compute, err = s.Machine.QueryShare(ctx, u)
-	case opQuerySet:
-		var pref core.Preference
-		if pref, err = decodePreference(payload); err == nil {
-			share, compute, err = s.Machine.QuerySetShare(ctx, pref)
-		}
-	case opUpdate:
-		respOp = opUpdateAck
-		resp, err = s.handleUpdate(ctx, payload)
-	}
-	if respOp == opShare && err == nil {
-		resp = make([]byte, 8+len(share))
-		binary.LittleEndian.PutUint64(resp, uint64(compute))
-		copy(resp[8:], share)
+	frame, err := s.respond(ctx, op, id, payload)
+	if err != nil {
+		frame = newFrame(opError, id, []byte(err.Error()))
 	}
 	wmu.Lock()
 	defer wmu.Unlock()
 	// Bound the write so a client that stops draining responses cannot
 	// pin the worker's handler goroutines behind wmu forever.
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err != nil {
-		if werr := writeFrame(conn, opError, id, []byte(err.Error())); werr != nil {
-			conn.Close() // a partial frame corrupts the stream for every caller
+	if _, err := conn.Write(frame); err != nil {
+		conn.Close() // a partial frame corrupts the stream for every caller
+	}
+}
+
+// respond executes one request frame and returns its whole response
+// frame. A share is encoded straight into the frame, after the 8-byte
+// compute-time prefix.
+func (s *Server) respond(ctx context.Context, op byte, id uint64, payload []byte) ([]byte, error) {
+	var r shareReply
+	switch op {
+	case opQuery:
+		if len(payload) != 4 {
+			return nil, fmt.Errorf("malformed query frame")
 		}
-		return
+		r = ask(ctx, s.Machine, int32(binary.LittleEndian.Uint32(payload)), nil)
+	case opQuerySet:
+		pref, err := decodePreference(payload)
+		if err != nil {
+			return nil, err
+		}
+		r = ask(ctx, s.Machine, 0, &pref)
+	case opUpdate:
+		ack, err := s.handleUpdate(ctx, payload)
+		if err != nil {
+			return nil, err
+		}
+		return newFrame(opUpdateAck, id, ack), nil
 	}
-	if werr := writeFrame(conn, respOp, id, resp); werr != nil {
-		conn.Close()
+	if r.err != nil {
+		return nil, r.err
 	}
+	n := 8 + sparse.EncodedSizePacked(r.share)
+	frame := appendFrameHeader(make([]byte, 0, frameHeaderSize+n), opShare, id, n)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(r.compute))
+	return sparse.AppendPacked(frame, r.share), nil
 }
 
 // handleUpdate decodes and applies one edge-delta batch, answering the

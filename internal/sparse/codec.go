@@ -86,15 +86,23 @@ func EncodedSizePacked(p Packed) int { return EncodedSizeLen(p.Len()) }
 // map iteration. Byte-compatible with Encode: Encode(v) and
 // EncodePacked(Pack(v)) produce identical payloads.
 func EncodePacked(p Packed) []byte {
-	buf := make([]byte, EncodedSizePacked(p))
+	return AppendPacked(make([]byte, 0, EncodedSizePacked(p)), p)
+}
+
+// AppendPacked appends EncodePacked(p) to dst, so a transport can encode
+// a share straight into its frame buffer.
+func AppendPacked(dst []byte, p Packed) []byte {
+	off, size := len(dst), EncodedSizePacked(p)
+	dst = slices.Grow(dst, size)[:off+size]
+	buf := dst[off:]
 	binary.LittleEndian.PutUint32(buf, uint32(p.Len()))
-	off := 4
+	o := 4
 	for k, id := range p.ids {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(id))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(p.scores[k]))
-		off += 12
+		binary.LittleEndian.PutUint32(buf[o:], uint32(id))
+		binary.LittleEndian.PutUint64(buf[o+4:], math.Float64bits(p.scores[k]))
+		o += 12
 	}
-	return buf
+	return dst
 }
 
 // DecodePacked parses a payload straight into columnar form. Canonical

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -192,6 +193,32 @@ func TestMergePackedMatchesMapFold(t *testing.T) {
 	}
 }
 
+func TestMerge2MatchesKWay(t *testing.T) {
+	// The two-stream fast path must give the k-way loop's bits,
+	// including entries that cancel to exactly zero and empty streams.
+	rng := rand.New(rand.NewSource(5))
+	random := func(n int) Packed {
+		v := Vector{}
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			v[int32(rng.Intn(3*n+1))] = rng.NormFloat64()
+		}
+		return Pack(v)
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := random(rng.Intn(60)), random(rng.Intn(60))
+		if trial%4 == 0 && a.Len() > 0 { // cancel a's entries in b
+			v := b.Unpack()
+			for k := 0; k < a.Len(); k += 2 {
+				v[a.ids[k]] = -a.scores[k]
+			}
+			b = Pack(v)
+		}
+		if got, want := merge2(a, b), mergeK([]Packed{a, b}); !samePackedBits(got, want) {
+			t.Fatalf("trial %d: merge2 %v, k-way %v", trial, got.Entries(), want.Entries())
+		}
+	}
+}
+
 func TestAccumulatorBasics(t *testing.T) {
 	a := AcquireAccumulator(100)
 	defer a.Release()
@@ -246,23 +273,124 @@ func TestAccumulatorReuseNoLeakage(t *testing.T) {
 	}
 }
 
-func TestAccumulatorEpochWrap(t *testing.T) {
+func TestAccumulatorResetReuse(t *testing.T) {
 	a := &Accumulator{}
 	a.Reset(10)
-	a.epoch = ^uint32(0) - 1 // two resets away from wrapping
 	a.Add(3, 1)
 	a.Reset(10)
 	if a.Get(3) != 0 {
 		t.Fatal("value survived reset")
 	}
 	a.Add(4, 2)
-	a.Reset(10) // epoch wraps to 0 → must clear stamps, not resurrect slot 4
+	a.Reset(10)
 	if a.Get(4) != 0 || a.Get(3) != 0 {
-		t.Fatalf("stale values after epoch wrap: %v %v", a.Get(3), a.Get(4))
+		t.Fatalf("stale values after reset: %v %v", a.Get(3), a.Get(4))
 	}
 	a.Add(5, 3)
 	if got := a.Vector(); !reflect.DeepEqual(got, Vector{5: 3}) {
-		t.Fatalf("after wrap: %v", got)
+		t.Fatalf("after reuse: %v", got)
+	}
+	if got := a.Packed(); !reflect.DeepEqual(got.Entries(), []Entry{{5, 3}}) {
+		t.Fatalf("after reuse: Packed() = %v", got.Entries())
+	}
+}
+
+// sortDrain is the reference drain the bitmap walk replaces: sum the
+// adds per id in add order, sort the ids, drop exact zeros.
+func sortDrain(adds []Entry) Packed {
+	sum := map[int32]float64{}
+	var ids []int32
+	for _, e := range adds {
+		if _, ok := sum[e.ID]; !ok {
+			ids = append(ids, e.ID)
+			sum[e.ID] = e.Score
+			continue
+		}
+		sum[e.ID] += e.Score
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var p Packed
+	for _, id := range ids {
+		if x := sum[id]; x != 0 {
+			p.ids = append(p.ids, id)
+			p.scores = append(p.scores, x)
+		}
+	}
+	return p
+}
+
+func samePackedBits(a, b Packed) bool {
+	if len(a.ids) != len(b.ids) {
+		return false
+	}
+	for k := range a.ids {
+		if a.ids[k] != b.ids[k] || math.Float64bits(a.scores[k]) != math.Float64bits(b.scores[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestAccumulatorBitmapDrainMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// Sizes around word boundaries, not multiples of 64, and a Reset to
+	// a larger n after a smaller one (and back) on the same accumulator.
+	sizes := []int{1, 2, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097, 70, 3}
+	a := &Accumulator{}
+	for trial := 0; trial < 400; trial++ {
+		n := sizes[trial%len(sizes)]
+		a.Reset(n)
+		var adds []Entry
+		touched := map[int32]bool{}
+		add := func(id int32, x float64) {
+			a.Add(id, x)
+			adds = append(adds, Entry{id, x})
+			touched[id] = true
+		}
+		// The word-boundary ids, when in range.
+		for _, id := range []int32{0, 63, 64, int32(n - 1)} {
+			if int(id) < n && rng.Intn(2) == 0 {
+				add(id, rng.NormFloat64())
+			}
+		}
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			id := int32(rng.Intn(n))
+			x := rng.NormFloat64()
+			add(id, x)
+			if rng.Intn(8) == 0 {
+				add(id, -a.Get(id)) // exact-zero cancellation
+			}
+		}
+		want := sortDrain(adds)
+		if got := a.Packed(); !samePackedBits(got, want) {
+			t.Fatalf("trial %d (n=%d): bitmap drain %v, sort drain %v", trial, n, got.Entries(), want.Entries())
+		}
+		if got := a.Vector(); !reflect.DeepEqual(got, want.Unpack()) {
+			t.Fatalf("trial %d (n=%d): Vector() = %v, want %v", trial, n, got, want.Unpack())
+		}
+		if a.Len() != len(touched) {
+			t.Fatalf("trial %d: Len() = %d, want %d", trial, a.Len(), len(touched))
+		}
+	}
+}
+
+func TestAccumulatorPooledReuseAcrossQueries(t *testing.T) {
+	// Pooled accumulators pass between queries of different graph sizes;
+	// every drain must equal the sort-based reference for its own adds.
+	rng := rand.New(rand.NewSource(12))
+	for q := 0; q < 300; q++ {
+		n := 1 + rng.Intn(700)
+		a := AcquireAccumulator(n)
+		var adds []Entry
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			e := Entry{int32(rng.Intn(n)), rng.NormFloat64()}
+			a.Add(e.ID, e.Score)
+			adds = append(adds, e)
+		}
+		if got, want := a.Packed(), sortDrain(adds); !samePackedBits(got, want) {
+			t.Fatalf("query %d (n=%d): drain %v, want %v", q, n, got.Entries(), want.Entries())
+		}
+		a.Release()
 	}
 }
 
