@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -252,7 +251,7 @@ func (g *Gateway) handleSingle(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, queryErrorStatus(err), res)
 		return
 	}
-	writeResult(w, res)
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +306,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, queryErrorStatus(err), res)
 			return
 		}
-		writeResult(w, res)
+		writeJSON(w, http.StatusOK, res)
 		return
 	}
 
@@ -460,85 +459,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// writeResult writes a successful query answer with status 200. The
-// body is byte-identical to writeJSON's but built with strconv, without
-// encoding/json's reflection; a result it cannot write that way (an
-// error text, a non-finite score) goes through writeJSON.
-func writeResult(w http.ResponseWriter, res resultJSON) {
-	body, ok := appendResult(make([]byte, 0, 64+48*len(res.TopK)), res)
-	if !ok {
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-// appendResult appends res the way json.Encoder.Encode writes it:
-// fields in declaration order, empty ones omitted, then a newline. It
-// reports false for a result with an error text or a score that is not
-// finite.
-func appendResult(b []byte, res resultJSON) ([]byte, bool) {
-	if res.Error != "" {
-		return b, false
-	}
-	b = append(b, '{')
-	if res.Node != nil {
-		b = strconv.AppendInt(appendKey(b, "node"), int64(*res.Node), 10)
-	}
-	if len(res.TopK) > 0 {
-		b = appendKey(b, "topk")
-		b = append(b, '[')
-		for i, e := range res.TopK {
-			if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
-				return b, false
-			}
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(append(b, `{"id":`...), int64(e.ID), 10)
-			b = appendJSONFloat(append(b, `,"score":`...), e.Score)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	if res.WallNs != 0 {
-		b = strconv.AppendInt(appendKey(b, "wall_ns"), res.WallNs, 10)
-	}
-	if res.Bytes != 0 {
-		b = strconv.AppendInt(appendKey(b, "bytes"), res.Bytes, 10)
-	}
-	return append(b, '}', '\n'), true
-}
-
-// appendKey appends an object key and its colon, after a comma unless
-// the key is the object's first.
-func appendKey(b []byte, key string) []byte {
-	if b[len(b)-1] != '{' {
-		b = append(b, ',')
-	}
-	return append(append(append(b, '"'), key...), '"', ':')
-}
-
-// appendJSONFloat formats a finite float64 as encoding/json does: the
-// shortest 'f' form, or 'e' form for magnitudes below 1e-6 or at least
-// 1e21, with a two-digit negative exponent cut to one digit (e-07 → e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

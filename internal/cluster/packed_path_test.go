@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -158,61 +155,4 @@ func TestFrameIsOneWrite(t *testing.T) {
 	}
 	m.Close()
 	<-done
-}
-
-// TestWriteResultMatchesEncodingJSON pins the hand-written success body
-// to encoding/json's bytes.
-func TestWriteResultMatchesEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	score := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 1:
-			return rng.NormFloat64() * 1e-9 // e-notation, small
-		case 2:
-			return rng.NormFloat64() * 1e22 // e-notation, large
-		case 3:
-			return math.Ldexp(rng.Float64(), -20-rng.Intn(40))
-		case 4:
-			return -rng.Float64() // negative
-		case 5:
-			return []float64{1e-6, -1e-6, 1e21, -1e21, 9.999999e-7, 1e20, 5e-324, math.MaxFloat64}[rng.Intn(8)]
-		default:
-			return rng.Float64()
-		}
-	}
-	for i := 0; i < 12000; i++ {
-		var res resultJSON
-		if rng.Intn(3) > 0 { // else nil, as in set answers
-			u := int32(rng.Intn(1 << 20))
-			if rng.Intn(10) == 0 {
-				u = -u
-			}
-			res.Node = &u
-		}
-		k := rng.Intn(12) // 0: empty top-k
-		for j := 0; j < k; j++ {
-			res.TopK = append(res.TopK, entryJSON{ID: int32(rng.Intn(1 << 24)), Score: score()})
-		}
-		if k == 0 && rng.Intn(2) == 0 {
-			res.TopK = []entryJSON{} // empty but non-nil
-		}
-		if rng.Intn(4) > 0 {
-			res.WallNs = rng.Int63n(1 << 40)
-		}
-		if rng.Intn(4) > 0 {
-			res.Bytes = rng.Int63n(1 << 30)
-		}
-		want, got := httptest.NewRecorder(), httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, res)
-		writeResult(got, res)
-		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("result %d:\n got %s\nwant %s", i, got.Body.Bytes(), want.Body.Bytes())
-		}
-		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
-			t.Fatalf("result %d: status/content type %d %q, want %d %q", i,
-				got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
-		}
-	}
 }

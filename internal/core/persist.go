@@ -474,13 +474,12 @@ func load(r io.Reader, size int64) (*Store, error) {
 		LeafPPV:    make(map[int32]sparse.Packed, n-hubs),
 	}
 	var buf []byte // one payload at a time: decoding copies out of it
-	var arena columnArena
 	err = vectorSections(cr, h, func(sec int8, key, vlen int32) error {
 		var err error
 		if buf, err = cr.next(buf, int64(vlen)); err != nil {
 			return err
 		}
-		ids, scores, err := arena.decode(buf)
+		ids, scores, err := sparse.DecodeColumnar(buf)
 		if err != nil {
 			return err
 		}
@@ -521,38 +520,6 @@ func load(r io.Reader, size int64) (*Store, error) {
 	t.skelLen = rc.skelLen
 	s.plans = t
 	return s, nil
-}
-
-// columnArena hands out the columns of loaded vectors from shared
-// blocks, so the thousands of vectors of a store cost a few dozen
-// allocations instead of two each. A block stays live while any vector
-// in it does, so vectors an update replaces free their slots only when
-// their whole block is replaced.
-type columnArena struct {
-	ids    []int32
-	scores []float64
-}
-
-// arenaBlock is the entries per arena block (192 KiB of columns): large
-// enough to make allocations rare, small enough that the unused tail of
-// the last block stays small.
-const arenaBlock = 1 << 14
-
-// decode decodes one columnar payload into the arena and returns its
-// columns, capped so that an append can never reach a neighbour's.
-func (a *columnArena) decode(buf []byte) ([]int32, []float64, error) {
-	// A payload of n entries takes at least 8+12n bytes.
-	if need := (len(buf) - 8) / 12; cap(a.ids)-len(a.ids) < need {
-		a.ids = make([]int32, 0, max(need, arenaBlock))
-		a.scores = make([]float64, 0, max(need, arenaBlock))
-	}
-	k := len(a.ids)
-	ids, scores, err := sparse.DecodeColumnarAppend(buf, a.ids, a.scores)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.ids, a.scores = ids, scores
-	return ids[k:len(ids):len(ids)], scores[k:len(scores):len(scores)], nil
 }
 
 // LoadFile reads a store from a file path.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -84,28 +83,17 @@ func columnarBounds(buf []byte) (int, int, error) {
 // columns — the portable path used when the file is read with ReadAt
 // instead of mapped, or when a mapping is misaligned.
 func DecodeColumnar(buf []byte) (ids []int32, scores []float64, err error) {
-	n, _, err := columnarBounds(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return DecodeColumnarAppend(buf, make([]int32, 0, n), make([]float64, 0, n))
-}
-
-// DecodeColumnarAppend is DecodeColumnar appending the columns to ids
-// and scores, so a loader can decode many vectors into shared arrays.
-// It returns the extended slices; the new entries are their tail.
-func DecodeColumnarAppend(buf []byte, ids []int32, scores []float64) ([]int32, []float64, error) {
 	n, so, err := columnarBounds(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	k := len(ids)
-	ids, scores = slices.Grow(ids, n)[:k+n], slices.Grow(scores, n)[:k+n]
-	for i := range n {
-		ids[k+i] = int32(binary.LittleEndian.Uint32(buf[8+4*i:]))
+	ids = make([]int32, n)
+	scores = make([]float64, n)
+	for k := range ids {
+		ids[k] = int32(binary.LittleEndian.Uint32(buf[8+4*k:]))
 	}
-	for i := range n {
-		scores[k+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[so+8*i:]))
+	for k := range scores {
+		scores[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[so+8*k:]))
 	}
 	return ids, scores, nil
 }

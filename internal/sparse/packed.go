@@ -246,14 +246,7 @@ func MergePacked(parts []Packed) Packed {
 		return Packed{}
 	case 1:
 		return parts[0]
-	case 2:
-		return merge2(parts[0], parts[1])
 	}
-	return mergeK(parts)
-}
-
-// mergeK is MergePacked of any number of streams.
-func mergeK(parts []Packed) Packed {
 	total := 0
 	for _, p := range parts {
 		total += p.Len()
@@ -288,33 +281,6 @@ func mergeK(parts []Packed) Packed {
 			scores = append(scores, sum)
 		}
 	}
-}
-
-// merge2 is MergePacked of two streams in one two-pointer pass — the
-// two-machine cluster's sum, without the per-entry scan over streams.
-func merge2(a, b Packed) Packed {
-	ids := make([]int32, 0, a.Len()+b.Len())
-	scores := make([]float64, 0, a.Len()+b.Len())
-	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
-		switch x, y := a.ids[i], b.ids[j]; {
-		case x < y:
-			ids, scores = append(ids, x), append(scores, a.scores[i])
-			i++
-		case y < x:
-			ids, scores = append(ids, y), append(scores, b.scores[j])
-			j++
-		default:
-			if sum := a.scores[i] + b.scores[j]; sum != 0 {
-				ids, scores = append(ids, x), append(scores, sum)
-			}
-			i++
-			j++
-		}
-	}
-	ids, scores = append(ids, a.ids[i:]...), append(scores, a.scores[i:]...)
-	ids, scores = append(ids, b.ids[j:]...), append(scores, b.scores[j:]...)
-	return Packed{ids, scores}
 }
 
 // Accumulator is a reusable dense scratch buffer for query-time folds:

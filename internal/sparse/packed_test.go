@@ -193,32 +193,6 @@ func TestMergePackedMatchesMapFold(t *testing.T) {
 	}
 }
 
-func TestMerge2MatchesKWay(t *testing.T) {
-	// The two-stream fast path must give the k-way loop's bits,
-	// including entries that cancel to exactly zero and empty streams.
-	rng := rand.New(rand.NewSource(5))
-	random := func(n int) Packed {
-		v := Vector{}
-		for i := rng.Intn(n + 1); i > 0; i-- {
-			v[int32(rng.Intn(3*n+1))] = rng.NormFloat64()
-		}
-		return Pack(v)
-	}
-	for trial := 0; trial < 500; trial++ {
-		a, b := random(rng.Intn(60)), random(rng.Intn(60))
-		if trial%4 == 0 && a.Len() > 0 { // cancel a's entries in b
-			v := b.Unpack()
-			for k := 0; k < a.Len(); k += 2 {
-				v[a.ids[k]] = -a.scores[k]
-			}
-			b = Pack(v)
-		}
-		if got, want := merge2(a, b), mergeK([]Packed{a, b}); !samePackedBits(got, want) {
-			t.Fatalf("trial %d: merge2 %v, k-way %v", trial, got.Entries(), want.Entries())
-		}
-	}
-}
-
 func TestAccumulatorBasics(t *testing.T) {
 	a := AcquireAccumulator(100)
 	defer a.Release()
